@@ -46,8 +46,12 @@ ProtocolOracle::pendingFor(GpuId dst)
 }
 
 void
-ProtocolOracle::storeBuffered(GpuId dst, const icn::Store &store)
+ProtocolOracle::storeBuffered(GpuId src, GpuId dst, std::uint32_t,
+                              const icn::Store &store, bool, std::uint32_t,
+                              Tick)
 {
+    if (src != _src)
+        return;
     fp_assert(store.size > 0, "oracle observed a zero-size store");
     fp_assert(store.data.empty() || store.data.size() == store.size,
               "oracle observed a store with inconsistent data size");
@@ -59,9 +63,12 @@ ProtocolOracle::storeBuffered(GpuId dst, const icn::Store &store)
 }
 
 void
-ProtocolOracle::windowFlushed(const finepack::FlushedPartition &flushed,
-                              finepack::FlushReason reason)
+ProtocolOracle::windowFlushed(GpuId src, std::uint32_t,
+                              const finepack::FlushedPartition &flushed,
+                              finepack::FlushReason reason, Tick)
 {
+    if (src != _src)
+        return;
     ShadowMemory &pending = pendingFor(flushed.dst);
     _recorder.write(&pending, "oracle.shadow");
     _recorder.write(&_outstanding, "oracle.outstanding");
@@ -106,6 +113,13 @@ ProtocolOracle::windowFlushed(const finepack::FlushedPartition &flushed,
     }
 
     _outstanding[flushed.dst].push_back(std::move(expected));
+}
+
+void
+ProtocolOracle::messageInjected(const icn::WireMessage &msg, Tick)
+{
+    if (msg.src == _src && msg.kind == icn::MessageKind::finepack_packet)
+        verifyMessage(msg);
 }
 
 void

@@ -8,15 +8,16 @@
  * splitting. The oracle verifies this end-to-end against a byte-granular
  * reference model:
  *
- *  1. As an RwqObserver it replays, in causal order, every store the
- *     remote write queue buffers into a per-destination ShadowMemory
- *     (the last-writer-wins image of the bytes currently queued).
+ *  1. As a pipeline subscriber (interconnect/pipeline_observer.hh) it
+ *     replays, in causal order, every store its GPU's remote write
+ *     queue buffers into a per-destination ShadowMemory (the
+ *     last-writer-wins image of the bytes currently queued).
  *  2. When a window flushes, the captured entries are checked against
  *     that pending image byte-for-byte - a lost byte, a stale value
  *     (wrong-writer-wins), or a phantom byte fails immediately - and
  *     the flushed image is stashed as the expected outcome of the
  *     transaction about to be packetized.
- *  3. When the packetized wire message is emitted, its disaggregated
+ *  3. When the packetized wire message is injected, its disaggregated
  *     stores must reproduce the stashed image exactly: full coverage,
  *     no byte twice, correct values, every sub-packet inside the
  *     window's offset range, and the payload accounting consistent
@@ -41,19 +42,29 @@
 #include "finepack/config.hh"
 #include "finepack/remote_write_queue.hh"
 #include "interconnect/message.hh"
+#include "interconnect/pipeline_observer.hh"
 
 namespace fp::check {
 
-/** Byte-exact reference model for one source GPU's FinePack egress. */
-class ProtocolOracle : public finepack::RwqObserver
+/**
+ * Byte-exact reference model for one source GPU's FinePack egress;
+ * it ignores milestones from every other source.
+ */
+class ProtocolOracle : public icn::PipelineObserver
 {
   public:
     ProtocolOracle(GpuId src, const finepack::FinePackConfig &config);
 
-    // ---- RwqObserver hooks (causal order, driven by the queue) -------
-    void storeBuffered(GpuId dst, const icn::Store &store) override;
-    void windowFlushed(const finepack::FlushedPartition &flushed,
-                       finepack::FlushReason reason) override;
+    // ---- Pipeline milestones (causal order, driven by the queue) -----
+    void storeBuffered(GpuId src, GpuId dst, std::uint32_t window,
+                       const icn::Store &store, bool queue_hit,
+                       std::uint32_t overwritten_bytes,
+                       Tick tick) override;
+    void windowFlushed(GpuId src, std::uint32_t window,
+                       const finepack::FlushedPartition &flushed,
+                       finepack::FlushReason reason, Tick tick) override;
+    /** Verifies this GPU's finepack_packet messages (verifyMessage). */
+    void messageInjected(const icn::WireMessage &msg, Tick tick) override;
 
     /**
      * Verify one emitted finepack_packet wire message against the

@@ -90,13 +90,9 @@ Packetizer::toMessage(const FlushedPartition &flushed,
     msg->data_bytes = txn.dataBytes();
     msg->stores = txn.unpack();
     msg->packed_store_count = flushed.packed_store_count;
-    msg->timing.flush_reason = static_cast<std::uint8_t>(flushed.reason);
-    msg->store_stamps = flushed.store_stamps;
 
     fp_assert(msg->payload_bytes <= protocol.maxPayload(),
               "FinePack payload exceeds the PCIe max payload");
-    if (_observer)
-        _observer->packetEmitted(txn, *msg);
     return msg;
 }
 

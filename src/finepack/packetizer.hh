@@ -23,22 +23,6 @@
 
 namespace fp::finepack {
 
-/**
- * Observer of packetizer output, fired once per emitted outer
- * transaction (observability hook; the egress port adapts it onto the
- * event tracer). payloadEfficiency of the emitted message is
- * data_bytes / wire payload bytes.
- */
-class PacketizerObserver
-{
-  public:
-    virtual ~PacketizerObserver() = default;
-
-    /** @p txn was packetized and wrapped into wire message @p msg. */
-    FP_COLD virtual void packetEmitted(const FinePackTransaction &txn,
-                                       const icn::WireMessage &msg) = 0;
-};
-
 /** Converts flushed partitions into FinePack transactions / messages. */
 class Packetizer
 {
@@ -64,9 +48,6 @@ class Packetizer
 
     GpuId src() const { return _src; }
     const FinePackConfig &config() const { return _config; }
-
-    /** Attach an output observer (nullptr detaches). */
-    void setObserver(PacketizerObserver *observer) { _observer = observer; }
 
     /** Lifetime statistics (Figure 11 inputs). */
     std::uint64_t packetsEmitted() const { return _packets; }
@@ -109,7 +90,6 @@ class Packetizer
   private:
     GpuId _src;
     FinePackConfig _config;
-    PacketizerObserver *_observer = nullptr;
     mutable std::uint64_t _packets = 0;
     mutable std::uint64_t _sub_packets = 0;
     mutable std::uint64_t _stores_packed = 0;

@@ -4,6 +4,7 @@
 
 #include "check/invariant.hh"
 #include "common/bitutil.hh"
+#include "common/event_queue.hh"
 #include "common/logging.hh"
 
 namespace fp::finepack {
@@ -217,8 +218,6 @@ RwqWindow::insert(const icn::Store &store)
         _lookup[line] = _entries.size();
         _entries.push_back(std::move(entry));
     }
-    if (store.issue_tick != max_tick)
-        _stamps.push_back({store.issue_tick, store.size});
     ++_buffered_stores;
 
     FP_INVARIANT(payload_accounted(), "rwq-payload-accounting",
@@ -274,7 +273,6 @@ RwqWindow::take(GpuId dst)
             : (_base_register << _config.offsetBits());
     result.entries = std::move(_entries);
     result.packed_store_count = _buffered_stores;
-    result.store_stamps = std::move(_stamps);
 
     // Sort entries by address so the packetized sub-packets appear in
     // ascending offset order (deterministic output).
@@ -285,7 +283,6 @@ RwqWindow::take(GpuId dst)
 
     _entries.clear();
     _lookup.clear();
-    _stamps.clear();
     _base_register = invalid_addr;
     _available_payload = _config.max_payload;
     _buffered_stores = 0;
@@ -430,27 +427,20 @@ RwqPartition::captureWindow(RwqWindow &window, FlushReason reason,
     sink.push_back(window.take(_dst));
     sink.back().reason = reason;
     if (_observer)
-        _observer->windowFlushed(sink.back(), reason);
-    if (_trace_observer)
-        _trace_observer->windowFlushed(sink.back(), reason);
+        _observer->windowFlushed(
+            _src, static_cast<std::uint32_t>(&window - _windows.data()),
+            sink.back(), reason, _clock->now());
 }
 
 void
 RwqPartition::insertObserved(RwqWindow &window, const icn::Store &store)
 {
     RwqWindow::InsertOutcome outcome = window.insert(store);
-    if (outcome.queue_hit) {
-        if (_observer)
-            _observer->storeCoalesced(_dst, store,
-                                      outcome.overwritten_bytes);
-        if (_trace_observer)
-            _trace_observer->storeCoalesced(_dst, store,
-                                            outcome.overwritten_bytes);
-    }
     if (_observer)
-        _observer->storeBuffered(_dst, store);
-    if (_trace_observer)
-        _trace_observer->storeBuffered(_dst, store);
+        _observer->storeBuffered(
+            _src, _dst, static_cast<std::uint32_t>(&window - _windows.data()),
+            store, outcome.queue_hit, outcome.overwritten_bytes,
+            _clock->now());
 }
 
 void
@@ -663,22 +653,13 @@ RemoteWriteQueue::flushIfConflict(GpuId dst, Addr addr,
 }
 
 void
-RemoteWriteQueue::setObserver(RwqObserver *observer)
+RemoteWriteQueue::setObserver(icn::PipelineObserver *observer,
+                              const common::EventQueue &clock)
 {
     for (GpuId g = 0; g < _num_gpus; ++g) {
         if (g == _self)
             continue;
-        _partitions[g].setObserver(observer);
-    }
-}
-
-void
-RemoteWriteQueue::setTraceObserver(RwqObserver *observer)
-{
-    for (GpuId g = 0; g < _num_gpus; ++g) {
-        if (g == _self)
-            continue;
-        _partitions[g].setTraceObserver(observer);
+        _partitions[g].setObserver(observer, _self, clock);
     }
 }
 

@@ -29,8 +29,12 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "finepack/config.hh"
+#include "interconnect/pipeline_observer.hh"
 #include "interconnect/store.hh"
-#include "obs/latency.hh"
+
+namespace fp::common {
+class EventQueue;
+} // namespace fp::common
 
 namespace fp::finepack {
 
@@ -77,6 +81,9 @@ enum class FlushReason : std::uint8_t {
     atomic_conflict,    ///< remote atomic matched a queued store
 };
 
+/** Number of FlushReason values (for per-reason accounting arrays). */
+inline constexpr std::size_t flush_reason_count = 6;
+
 const char *toString(FlushReason reason);
 
 /** The contents of one flushed window, ready to packetize. */
@@ -90,51 +97,8 @@ struct FlushedPartition
     std::uint64_t packed_store_count = 0;
     /** Why the window flushed (set by RwqPartition::captureWindow). */
     FlushReason reason = FlushReason::release;
-    /**
-     * Issue stamps of the folded stores, in buffering order (latency
-     * attribution only; empty when stores carry no issue_tick).
-     */
-    std::vector<obs::StoreStamp> store_stamps;
 
     bool empty() const { return entries.empty(); }
-};
-
-/**
- * Causal-order observer of remote-write-queue state changes, used by
- * the correctness tooling (check::ProtocolOracle). The hooks fire in
- * the exact order the hardware would commit the corresponding actions:
- * a window that must flush to admit a store reports windowFlushed()
- * *before* that store's storeBuffered(), so an observer replaying the
- * stream sees the same byte images the packetizer will.
- */
-class RwqObserver
-{
-  public:
-    virtual ~RwqObserver() = default;
-
-    /** A store (after line/window-grid splitting) merged into a window. */
-    FP_COLD virtual void storeBuffered(GpuId dst,
-                                       const icn::Store &store) = 0;
-
-    /** A window's contents were captured for packetization. */
-    FP_COLD virtual void windowFlushed(const FlushedPartition &flushed,
-                                       FlushReason reason) = 0;
-
-    /**
-     * A store hit an already-buffered line and merged in place
-     * (fires just before the matching storeBuffered()).
-     * @p overwritten_bytes counts bytes whose enable was already set,
-     * i.e. wire traffic elided by overwrite-in-place. Optional hook
-     * used by the observability layer.
-     */
-    FP_COLD virtual void
-    storeCoalesced(GpuId dst, const icn::Store &store,
-                   std::uint32_t overwritten_bytes)
-    {
-        (void)dst;
-        (void)store;
-        (void)overwritten_bytes;
-    }
 };
 
 /**
@@ -208,8 +172,6 @@ class RwqWindow
     std::vector<QueueEntry> _entries;
     /** Associative lookup: line address -> index into _entries. */
     std::unordered_map<Addr, std::size_t> _lookup;
-    /** Issue stamps of buffered stores (latency attribution only). */
-    std::vector<obs::StoreStamp> _stamps;
 
     std::uint64_t _queue_hits = 0;
     std::uint64_t _bytes_elided = 0;
@@ -283,19 +245,19 @@ class RwqPartition
     Addr windowHi() const;
 
     /**
-     * Attach a causal-order observer (nullptr detaches). Exactly one
-     * observer at a time; the caller keeps ownership.
+     * Attach the pipeline observer (nullptr detaches): storeBuffered
+     * and windowFlushed fire in the order the hardware commits them,
+     * as GPU @p src, stamped with @p clock's current tick. The caller
+     * keeps ownership of both.
      */
-    void setObserver(RwqObserver *observer) { _observer = observer; }
-
-    /**
-     * Attach a second, independent observer used for event tracing;
-     * it sees the same causal stream as the primary observer (and
-     * additionally storeCoalesced). Kept separate so the protocol
-     * oracle and the tracer can coexist.
-     */
-    void setTraceObserver(RwqObserver *observer)
-    { _trace_observer = observer; }
+    void
+    setObserver(icn::PipelineObserver *observer, GpuId src,
+                const common::EventQueue &clock)
+    {
+        _observer = observer;
+        _src = src;
+        _clock = &clock;
+    }
 
     /** Lifetime statistics. */
     std::uint64_t storesPushed() const { return _stores_pushed; }
@@ -319,8 +281,9 @@ class RwqPartition
 
     GpuId _dst;
     FinePackConfig _config;
-    RwqObserver *_observer = nullptr;
-    RwqObserver *_trace_observer = nullptr;
+    icn::PipelineObserver *_observer = nullptr;
+    GpuId _src = invalid_gpu;
+    const common::EventQueue *_clock = nullptr;
 
     std::vector<RwqWindow> _windows;
     /** LRU order of window indices; back = most recently used. */
@@ -328,7 +291,7 @@ class RwqPartition
 
     std::uint64_t _stores_pushed = 0;
     std::uint64_t _bytes_pushed = 0;
-    std::uint64_t _flush_counts[6] = {};
+    std::uint64_t _flush_counts[flush_reason_count] = {};
 };
 
 /**
@@ -368,11 +331,9 @@ class RemoteWriteQueue
     FP_HOT RwqPartition &partition(GpuId dst);
     FP_HOT const RwqPartition &partition(GpuId dst) const;
 
-    /** Attach a causal-order observer to every partition. */
-    void setObserver(RwqObserver *observer);
-
-    /** Attach a trace observer to every partition. */
-    void setTraceObserver(RwqObserver *observer);
+    /** Attach the pipeline observer to every partition (see above). */
+    void setObserver(icn::PipelineObserver *observer,
+                     const common::EventQueue &clock);
 
     GpuId self() const { return _self; }
     std::uint32_t numGpus() const { return _num_gpus; }

@@ -3,109 +3,9 @@
 #include <algorithm>
 
 #include "check/invariant.hh"
-#include "check/protocol_oracle.hh"
 #include "common/bitutil.hh"
-#include "obs/flight_recorder.hh"
 
 namespace fp::gpu {
-
-namespace {
-
-/**
- * Adapts the remote write queue's causal observer stream onto trace
- * instants on the owning GPU's rwq lane. Flush events always record
- * (with the trigger reason as the event name); per-store enqueue and
- * overwrite-in-place instants only fire at full detail.
- */
-class RwqTraceAdapter : public finepack::RwqObserver
-{
-  public:
-    RwqTraceAdapter(obs::TraceSink &sink, const common::EventQueue &queue,
-                    std::uint32_t pid)
-        : _sink(sink), _queue(queue), _pid(pid)
-    {}
-
-    void
-    storeBuffered(GpuId dst, const icn::Store &store) override
-    {
-        if (!_sink.full())
-            return;
-        _sink.instant(_pid, obs::lane_rwq, "enqueue", "rwq",
-                      _queue.now(),
-                      {"dst", static_cast<double>(dst)},
-                      {"bytes", static_cast<double>(store.size)});
-    }
-
-    void
-    storeCoalesced(GpuId dst, const icn::Store &store,
-                   std::uint32_t overwritten_bytes) override
-    {
-        if (!_sink.full())
-            return;
-        _sink.instant(_pid, obs::lane_rwq, "overwrite_in_place", "rwq",
-                      _queue.now(),
-                      {"dst", static_cast<double>(dst)},
-                      {"bytes", static_cast<double>(store.size)},
-                      {"overwritten",
-                       static_cast<double>(overwritten_bytes)});
-    }
-
-    void
-    windowFlushed(const finepack::FlushedPartition &flushed,
-                  finepack::FlushReason reason) override
-    {
-        if (_sink.detail() == obs::TraceDetail::off)
-            return;
-        _sink.instant(_pid, obs::lane_rwq, toString(reason), "rwq_flush",
-                      _queue.now(),
-                      {"dst", static_cast<double>(flushed.dst)},
-                      {"entries",
-                       static_cast<double>(flushed.entries.size())},
-                      {"stores",
-                       static_cast<double>(flushed.packed_store_count)});
-    }
-
-  private:
-    obs::TraceSink &_sink;
-    const common::EventQueue &_queue;
-    std::uint32_t _pid;
-};
-
-/** Adapts packetizer output onto packet-emit trace instants. */
-class PacketizerTraceAdapter : public finepack::PacketizerObserver
-{
-  public:
-    PacketizerTraceAdapter(obs::TraceSink &sink,
-                           const common::EventQueue &queue,
-                           std::uint32_t pid)
-        : _sink(sink), _queue(queue), _pid(pid)
-    {}
-
-    void
-    packetEmitted(const finepack::FinePackTransaction &txn,
-                  const icn::WireMessage &msg) override
-    {
-        if (_sink.detail() == obs::TraceDetail::off)
-            return;
-        double payload = static_cast<double>(msg.payload_bytes);
-        double efficiency =
-            payload > 0.0 ? static_cast<double>(msg.data_bytes) / payload
-                          : 0.0;
-        _sink.instant(_pid, obs::lane_packetizer, "packet", "packetizer",
-                      _queue.now(),
-                      {"sub_packets", static_cast<double>(txn.size())},
-                      {"stores",
-                       static_cast<double>(msg.packed_store_count)},
-                      {"payload_efficiency", efficiency});
-    }
-
-  private:
-    obs::TraceSink &_sink;
-    const common::EventQueue &_queue;
-    std::uint32_t _pid;
-};
-
-} // namespace
 
 const char *
 toString(EgressMode mode)
@@ -189,8 +89,6 @@ EgressPort::issueStore(const icn::Store &store)
         icn::Store piece = store;
         piece.addr = begin;
         piece.size = static_cast<std::uint32_t>(piece_end - begin);
-        if (_latency)
-            piece.issue_tick = curTick();
         if (!store.data.empty()) {
             auto off = static_cast<std::size_t>(begin - store.begin());
             piece.data.assign(store.data.begin() + off,
@@ -243,8 +141,6 @@ EgressPort::issueStores(const std::vector<icn::Store> &stores,
             msg->data_bytes += store.size;
             ++msg->packed_store_count;
             msg->stores.push_back(store);
-            if (_latency)
-                msg->store_stamps.push_back({curTick(), store.size});
         }
         if (msg->stores.empty())
             continue;
@@ -382,8 +278,6 @@ EgressPort::sendRaw(const icn::Store &store, icn::MessageKind kind)
     msg->data_bytes = store.size;
     msg->packed_store_count = 1;
     msg->stores.push_back(store);
-    if (_latency)
-        msg->store_stamps.push_back({curTick(), store.size});
 
     ++_messages_sent;
     _stores_folded += 1.0;
@@ -392,35 +286,10 @@ EgressPort::sendRaw(const icn::Store &store, icn::MessageKind kind)
 }
 
 void
-EgressPort::attachOracle(check::ProtocolOracle *oracle)
+EgressPort::setObserver(icn::PipelineObserver *observer)
 {
-    fp_assert(_mode == EgressMode::finepack,
-              "the protocol oracle requires finepack mode, not ",
-              toString(_mode));
-    _oracle = oracle;
-    _rwq->setObserver(oracle);
-}
-
-void
-EgressPort::setTracer(obs::TraceSink *tracer)
-{
-    _tracer = tracer;
-    if (_mode != EgressMode::finepack)
-        return;
-    if (!tracer) {
-        _rwq->setTraceObserver(nullptr);
-        _packetizer->setObserver(nullptr);
-        _rwq_trace.reset();
-        _packet_trace.reset();
-        return;
-    }
-    std::uint32_t pid = obs::tracePidGpu(_self);
-    _rwq_trace = std::make_unique<RwqTraceAdapter>(*tracer, eventQueue(),
-                                                   pid);
-    _packet_trace = std::make_unique<PacketizerTraceAdapter>(
-        *tracer, eventQueue(), pid);
-    _rwq->setTraceObserver(_rwq_trace.get());
-    _packetizer->setObserver(_packet_trace.get());
+    if (_rwq)
+        _rwq->setObserver(observer, eventQueue());
 }
 
 void
@@ -429,17 +298,11 @@ EgressPort::sendFlushed(const finepack::FlushedPartition &flushed)
     common::AccessRecorder(eventQueue())
         .write(_packetizer.get(), _packetizer_label.c_str());
     icn::WireMessagePtr msg = _packetizer->toMessage(flushed, _protocol);
-    if (_oracle)
-        _oracle->verifyMessage(*msg);
     ++_messages_sent;
     _stores_folded += static_cast<double>(flushed.packed_store_count);
     _stores_per_msg.sample(
         static_cast<double>(flushed.packed_store_count));
     _flush_entries.sample(static_cast<double>(flushed.entries.size()));
-    if (_recorder)
-        _recorder->record(obs::FlightKind::rwq_flush, curTick(),
-                          finepack::toString(flushed.reason),
-                          flushed.entries.size(), flushed.dst);
     _fabric.inject(msg);
 }
 

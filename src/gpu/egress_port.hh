@@ -22,10 +22,6 @@
 #include "finepack/remote_write_queue.hh"
 #include "finepack/write_combine.hh"
 #include "interconnect/topology.hh"
-#include "obs/latency.hh"
-#include "obs/trace_event.hh"
-
-namespace fp::check { class ProtocolOracle; }
 
 namespace fp::gpu {
 
@@ -87,39 +83,11 @@ class EgressPort : public common::SimObject
                                  std::uint32_t size);
 
     /**
-     * Attach the shadow-memory protocol oracle (finepack mode only;
-     * nullptr detaches). The oracle observes the remote write queue in
-     * causal order and re-verifies every emitted packet byte-for-byte;
-     * the caller keeps ownership.
+     * Attach the pipeline observer (nullptr detaches) to the remote
+     * write queue, whose milestones then fire as this GPU; a no-op
+     * outside finepack mode.
      */
-    void attachOracle(check::ProtocolOracle *oracle);
-
-    /**
-     * Attach an event tracer (nullptr detaches). In finepack mode this
-     * wires adapters onto the remote write queue and packetizer so
-     * enqueue / overwrite-in-place / flush / packet-emit events land on
-     * this GPU's trace process; per-store instants only fire at full
-     * trace detail.
-     */
-    void setTracer(obs::TraceSink *tracer);
-
-    /**
-     * Enable latency attribution (nullptr disables): stores get their
-     * issue tick stamped so the ingress side can attribute coalescing
-     * residency and end-to-end latency. The egress port never samples
-     * into the collector itself; off costs one branch per store.
-     */
-    void setLatencyCollector(obs::LatencyCollector *latency)
-    { _latency = latency; }
-
-    /**
-     * Attach a flight recorder (nullptr disables): every RWQ window
-     * flush appends one `rwq_flush` ring record labeled with its
-     * FlushReason (entries, dst). Off costs one branch per flush; see
-     * docs/run_health.md.
-     */
-    void setFlightRecorder(obs::FlightRecorder *recorder)
-    { _recorder = recorder; }
+    void setObserver(icn::PipelineObserver *observer);
 
     EgressMode mode() const { return _mode; }
     GpuId self() const { return _self; }
@@ -158,13 +126,6 @@ class EgressPort : public common::SimObject
 
     std::unique_ptr<finepack::RemoteWriteQueue> _rwq;
     std::unique_ptr<finepack::Packetizer> _packetizer;
-    check::ProtocolOracle *_oracle = nullptr;
-    obs::TraceSink *_tracer = nullptr;
-    obs::LatencyCollector *_latency = nullptr;
-    obs::FlightRecorder *_recorder = nullptr;
-    /** Trace adapters (finepack mode, tracer attached). */
-    std::unique_ptr<finepack::RwqObserver> _rwq_trace;
-    std::unique_ptr<finepack::PacketizerObserver> _packet_trace;
     /** One write-combine buffer per destination (index = dst). */
     std::vector<std::unique_ptr<finepack::WriteCombineBuffer>> _wc;
 

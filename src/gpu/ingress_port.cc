@@ -2,9 +2,7 @@
 
 #include <cmath>
 
-#include "check/invariant.hh"
 #include "common/logging.hh"
-#include "obs/flow.hh"
 
 namespace fp::gpu {
 
@@ -28,10 +26,6 @@ IngressPort::receive(const icn::WireMessagePtr &msg)
     _stores += static_cast<double>(msg->stores.size());
     _bytes += static_cast<double>(msg->data_bytes);
 
-    if (_flows)
-        _flows->recordCommit(msg->src, _self, msg->wireBytes(),
-                             msg->data_bytes);
-
     if (_memory) {
         for (const icn::Store &store : msg->stores) {
             if (!store.data.empty())
@@ -51,31 +45,8 @@ IngressPort::receive(const icn::WireMessagePtr &msg)
     Tick start = std::max(curTick(), _busy_until);
     _busy_until = start + drain_ticks;
 
-    if (_latency) {
-        FP_INVARIANT(msg->timing.created != obs::no_stamp &&
-                         msg->timing.created <= curTick(),
-                     "latency-milestone-order",
-                     "message arrived without a monotonic creation "
-                     "stamp (created=", msg->timing.created,
-                     " now=", curTick(), ")");
-        _latency->record(_self, msg->timing, curTick(), _busy_until,
-                         msg->store_stamps.data(),
-                         msg->store_stamps.size());
-    }
-
-    if (_tracer && _tracer->full()) {
-        _tracer->complete(obs::tracePidGpu(_self), obs::lane_ingress,
-                          "drain", "ingress", start, drain_ticks,
-                          {"data_bytes",
-                           static_cast<double>(msg->data_bytes)},
-                          {"stores",
-                           static_cast<double>(msg->stores.size())},
-                          {"src", static_cast<double>(msg->src)});
-        if (msg->timing.flow_id != 0) {
-            _tracer->flowEnd(obs::tracePidGpu(_self), obs::lane_ingress,
-                             "msg", "flow", start, msg->timing.flow_id);
-        }
-    }
+    if (_observer)
+        _observer->messageCommitted(*msg, curTick(), start, _busy_until);
 
     // Always schedule the drain-completion event so that running the
     // event queue dry implies all ingress buffers have emptied.

@@ -16,12 +16,7 @@
 #include "gpu/functional_memory.hh"
 #include "gpu/gpu_config.hh"
 #include "interconnect/message.hh"
-#include "obs/latency.hh"
-#include "obs/trace_event.hh"
-
-namespace fp::obs {
-class FlowCollector;
-} // namespace fp::obs
+#include "interconnect/pipeline_observer.hh"
 
 namespace fp::gpu {
 
@@ -48,26 +43,11 @@ class IngressPort : public common::SimObject
     void setDeliveredCallback(DeliveredFn fn) { _delivered_cb = std::move(fn); }
 
     /**
-     * Attach an event tracer (nullptr detaches): per-message drain
-     * spans on this GPU's ingress lane at full detail.
+     * Attach the pipeline observer (nullptr detaches): every received
+     * message fires messageCommitted() (commit = end of its HBM drain).
      */
-    void setTracer(obs::TraceSink *tracer) { _tracer = tracer; }
-
-    /**
-     * Attach a latency collector (nullptr detaches): every drained
-     * message records its stage latencies (commit = end of the HBM
-     * drain). Off costs one branch per message.
-     */
-    void setLatencyCollector(obs::LatencyCollector *latency)
-    { _latency = latency; }
-
-    /**
-     * Attach a flow collector (nullptr detaches): every received
-     * message is committed against its src -> dst flow, closing the
-     * inject/commit conservation ledger. Off costs one branch per
-     * message.
-     */
-    void setFlowCollector(obs::FlowCollector *flows) { _flows = flows; }
+    void setObserver(icn::PipelineObserver *observer)
+    { _observer = observer; }
 
     /** Tick when the ingress path finishes draining everything queued. */
     Tick drainedAt() const { return _busy_until; }
@@ -84,9 +64,7 @@ class IngressPort : public common::SimObject
     GpuConfig _config;
     FunctionalMemory *_memory = nullptr;
     DeliveredFn _delivered_cb;
-    obs::TraceSink *_tracer = nullptr;
-    obs::LatencyCollector *_latency = nullptr;
-    obs::FlowCollector *_flows = nullptr;
+    icn::PipelineObserver *_observer = nullptr;
     Tick _busy_until = 0;
 
     common::Scalar _messages;

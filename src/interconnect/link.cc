@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/bitutil.hh"
-#include "obs/flow.hh"
 
 namespace fp::icn {
 
@@ -105,13 +104,6 @@ Link::transmit(const WireMessagePtr &msg,
     tx_ticks = std::max<Tick>(tx_ticks, 1);
     _busy_until = start + tx_ticks;
 
-    // First hop (source uplink) stamps the serialization milestones.
-    bool first_hop = msg->timing.tx_start == obs::no_stamp;
-    if (first_hop) {
-        msg->timing.tx_start = start;
-        msg->timing.tx_end = _busy_until;
-    }
-
     _payload_bytes += static_cast<double>(msg->payload_bytes);
     _header_bytes += static_cast<double>(msg->header_bytes);
     _data_bytes += static_cast<double>(msg->data_bytes);
@@ -122,47 +114,14 @@ Link::transmit(const WireMessagePtr &msg,
     Tick wait = start - enqueued;
     _wait_ticks += static_cast<double>(wait);
 
-    if (_flows) {
-        obs::FlowCollector::LinkTransmit tx;
-        tx.link = _flow_link_id;
-        tx.src = msg->src;
-        tx.dst = msg->dst;
-        tx.enqueued = enqueued;
-        tx.start = start;
-        tx.tx_ticks = tx_ticks;
-        tx.wire_bytes = msg->wireBytes();
-        tx.payload_bytes = msg->payload_bytes;
-        tx.data_bytes = msg->data_bytes;
-        tx.have_occupant = _have_occupant;
-        tx.occupant_src = _occupant_src;
-        tx.occupant_dst = _occupant_dst;
-        _flows->recordTransmit(tx);
-    }
-    _have_occupant = true;
-    _occupant_src = msg->src;
-    _occupant_dst = msg->dst;
-
     KindStats &kind = _by_kind[static_cast<std::size_t>(msg->kind)];
     kind.payload_bytes += msg->payload_bytes;
     kind.header_bytes += msg->header_bytes;
     kind.data_bytes += msg->data_bytes;
     ++kind.messages;
 
-    if (_tracer && _tracer->full()) {
-        _tracer->complete(
-            _trace_pid, _trace_tid, "tx", "link", start, tx_ticks,
-            {"wire_bytes", static_cast<double>(msg->wireBytes())},
-            {"data_bytes", static_cast<double>(msg->data_bytes)},
-            {"stores", static_cast<double>(msg->packed_store_count)});
-        if (msg->timing.flow_id != 0) {
-            if (first_hop)
-                _tracer->flowStart(_trace_pid, _trace_tid, "msg", "flow",
-                                   start, msg->timing.flow_id);
-            else
-                _tracer->flowStep(_trace_pid, _trace_tid, "msg", "flow",
-                                  start, msg->timing.flow_id);
-        }
-    }
+    if (_observer)
+        _observer->linkTransmit(_id, *msg, enqueued, start, tx_ticks);
 
     if (on_transmit)
         // fp-lint: allow(hot-escape) indirect callable (switch buffer-free hook); ROADMAP item 1

@@ -19,11 +19,7 @@
 
 #include "common/sim_object.hh"
 #include "interconnect/message.hh"
-#include "obs/trace_event.hh"
-
-namespace fp::obs {
-class FlowCollector;
-} // namespace fp::obs
+#include "interconnect/pipeline_observer.hh"
 
 namespace fp::icn {
 
@@ -116,29 +112,14 @@ class Link : public common::SimObject
     void resetStats();
 
     /**
-     * Attach an event tracer (nullptr detaches). Busy spans - one
-     * complete event per message serialization, carrying wire/data
-     * byte counts - are emitted on (@p pid, @p tid) at full detail.
+     * Attach the pipeline observer (nullptr detaches): every
+     * serialization start fires linkTransmit() under link id @p id.
      */
     void
-    setTracer(obs::TraceSink *tracer, std::uint32_t pid, std::uint32_t tid)
+    setObserver(PipelineObserver *observer, std::uint32_t id)
     {
-        _tracer = tracer;
-        _trace_pid = pid;
-        _trace_tid = tid;
-    }
-
-    /**
-     * Attach a flow collector (nullptr detaches): every serialization
-     * start is reported under @p link_id with its (src, dst) flow,
-     * enqueue-to-start queue wait, and the occupant flow any wait is
-     * charged to (docs/fabric_observability.md).
-     */
-    void
-    setFlowCollector(obs::FlowCollector *flows, std::uint32_t link_id)
-    {
-        _flows = flows;
-        _flow_link_id = link_id;
+        _observer = observer;
+        _id = id;
     }
 
   private:
@@ -166,16 +147,8 @@ class Link : public common::SimObject
     std::uint64_t _credits_in_use = 0;
     std::deque<Pending> _waiting;
 
-    obs::TraceSink *_tracer = nullptr;
-    std::uint32_t _trace_pid = 0;
-    std::uint32_t _trace_tid = 0;
-
-    obs::FlowCollector *_flows = nullptr;
-    std::uint32_t _flow_link_id = 0;
-    /** Flow of the most recently transmitted message (wait charging). */
-    bool _have_occupant = false;
-    GpuId _occupant_src = 0;
-    GpuId _occupant_dst = 0;
+    PipelineObserver *_observer = nullptr;
+    std::uint32_t _id = 0;
 
     common::Scalar _payload_bytes;
     common::Scalar _header_bytes;

@@ -1,8 +1,5 @@
 #include "interconnect/topology.hh"
 
-#include "obs/flight_recorder.hh"
-#include "obs/flow.hh"
-
 namespace fp::icn {
 
 FabricParams
@@ -61,16 +58,9 @@ SwitchedFabric::inject(const WireMessagePtr &msg)
     fp_assert(msg->src < _num_gpus, "bad source GPU ", msg->src);
     fp_assert(msg->dst < _num_gpus, "bad destination GPU ", msg->dst);
     fp_assert(msg->src != msg->dst, "message to self on GPU ", msg->src);
-    msg->timing.created = curTick();
-    if (_tracer && _tracer->full())
-        msg->timing.flow_id = ++_next_flow_id;
-    if (_flows)
-        _flows->recordInject(msg->src, msg->dst, msg->wireBytes(),
-                             msg->payload_bytes, msg->data_bytes,
-                             msg->packed_store_count);
-    if (_recorder)
-        _recorder->record(obs::FlightKind::fabric_inject, curTick(),
-                          "fabric.inject", msg->wireBytes(), msg->dst);
+    msg->seq = ++_next_seq;
+    if (_observer)
+        _observer->messageInjected(*msg, curTick());
     _uplinks[msg->src]->send(msg);
 }
 
@@ -141,34 +131,12 @@ SwitchedFabric::totalInjectedWireBytes() const
 }
 
 void
-SwitchedFabric::setTracer(obs::TraceSink *tracer)
+SwitchedFabric::setObserver(PipelineObserver *observer)
 {
-    _tracer = tracer;
-    for (std::uint32_t g = 0; g < _num_gpus; ++g) {
-        _uplinks[g]->setTracer(tracer, obs::tracePidGpu(g),
-                               obs::lane_uplink);
-        _downlinks[g]->setTracer(tracer, obs::tracePidGpu(g),
-                                 obs::lane_downlink);
-    }
-}
-
-void
-SwitchedFabric::setFlowCollector(obs::FlowCollector *flows)
-{
-    _flows = flows;
-    for (std::uint32_t g = 0; g < _num_gpus; ++g) {
-        _uplinks[g]->setFlowCollector(
-            flows,
-            flows ? flows->registerLink(
-                        _uplinks[g]->name(),
-                        obs::FlowCollector::LinkKind::uplink, g)
-                  : 0);
-        _downlinks[g]->setFlowCollector(
-            flows,
-            flows ? flows->registerLink(
-                        _downlinks[g]->name(),
-                        obs::FlowCollector::LinkKind::downlink, g)
-                  : 0);
+    _observer = observer;
+    for (GpuId g = 0; g < _num_gpus; ++g) {
+        _uplinks[g]->setObserver(observer, fabricLinkId(g, false));
+        _downlinks[g]->setObserver(observer, fabricLinkId(g, true));
     }
 }
 

@@ -17,10 +17,6 @@
 #include "interconnect/link.hh"
 #include "interconnect/protocol.hh"
 
-namespace fp::obs {
-class FlightRecorder;
-} // namespace fp::obs
-
 namespace fp::icn {
 
 /** Parameters of the switched interconnect fabric. */
@@ -92,27 +88,11 @@ class SwitchedFabric : public common::SimObject
     void resetStats();
 
     /**
-     * Attach an event tracer to every link: GPU g's uplink and
-     * downlink emit busy spans on its trace process, on the uplink /
-     * downlink lanes.
+     * Attach the pipeline observer (nullptr detaches): inject() fires
+     * messageInjected() and every link fires linkTransmit() under its
+     * fabricLinkId().
      */
-    void setTracer(obs::TraceSink *tracer);
-
-    /**
-     * Attach a flow collector (nullptr detaches): registers every
-     * link with it and accounts each injected message against its
-     * src -> dst flow. Call after FlowCollector::beginRun() sized for
-     * this fabric's GPU count.
-     */
-    void setFlowCollector(obs::FlowCollector *flows);
-
-    /**
-     * Attach a flight recorder (nullptr detaches): every inject()
-     * appends one `fabric_inject` ring record (wire bytes, dst). Off
-     * costs one branch per message; see docs/run_health.md.
-     */
-    void setFlightRecorder(obs::FlightRecorder *recorder)
-    { _recorder = recorder; }
+    void setObserver(PipelineObserver *observer);
 
   private:
     FP_HOT void forward(const WireMessagePtr &msg);
@@ -122,11 +102,9 @@ class SwitchedFabric : public common::SimObject
     std::vector<std::unique_ptr<Link>> _uplinks;
     std::vector<std::unique_ptr<Link>> _downlinks;
     std::vector<IngressFn> _ingress;
-    obs::TraceSink *_tracer = nullptr;
-    obs::FlowCollector *_flows = nullptr;
-    obs::FlightRecorder *_recorder = nullptr;
-    /** Deterministic flow-event chain ids (full trace detail only). */
-    std::uint64_t _next_flow_id = 0;
+    PipelineObserver *_observer = nullptr;
+    /** Last WireMessage::seq assigned by inject(). */
+    std::uint64_t _next_seq = 0;
 };
 
 } // namespace fp::icn

@@ -4,6 +4,8 @@
 
 #include "check/invariant.hh"
 #include "common/logging.hh"
+#include "finepack/remote_write_queue.hh"
+#include "interconnect/message.hh"
 
 namespace fp::obs {
 
@@ -100,6 +102,22 @@ void
 FlightRecorder::endEvent(const common::Event &event)
 {
     (void)event;
+}
+
+void
+FlightRecorder::windowFlushed(GpuId, std::uint32_t,
+                              const finepack::FlushedPartition &flushed,
+                              finepack::FlushReason reason, Tick tick)
+{
+    record(FlightKind::rwq_flush, tick, finepack::toString(reason),
+           flushed.entries.size(), flushed.dst);
+}
+
+void
+FlightRecorder::messageInjected(const icn::WireMessage &msg, Tick tick)
+{
+    record(FlightKind::fabric_inject, tick, "fabric.inject",
+           msg.wireBytes(), msg.dst);
 }
 
 void

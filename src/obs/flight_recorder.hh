@@ -6,8 +6,9 @@
  * clean run; the flight recorder exists for runs that do not end
  * cleanly. It rides the multi-observer EventQueue hooks and records
  * the last N things the simulator did -- executed events (label, tick,
- * priority), RWQ window flushes with their FlushReason, fabric
- * injects, and invariant names as they are evaluated -- into a
+ * priority), RWQ window flushes with their FlushReason (at capture,
+ * via the windowFlushed milestone), fabric injects (messageInjected),
+ * and invariant names as they are evaluated -- into a
  * preallocated ring of atomic slots. When the process dies (signal,
  * panic, FP_INVARIANT trip, ProtocolOracle mismatch) the fatal handler
  * in src/obs/fatal.cc walks the ring with plain atomic loads and
@@ -34,8 +35,8 @@
  *
  * Digest neutrality: the recorder never touches simulated state and
  * reports wantsAccesses() == false; attaching it changes no oracle /
- * stats / RunResult digest (tests/sim/health_digest_test.cc holds
- * this, the same gate PRs 7-8 used for the profiler and sampler).
+ * stats / RunResult digest (tests/sim/observability_test.cc holds
+ * this, the same gate every other instrument passes).
  */
 
 #ifndef FP_OBS_FLIGHT_RECORDER_HH
@@ -48,6 +49,7 @@
 #include <vector>
 
 #include "common/event_queue.hh"
+#include "interconnect/pipeline_observer.hh"
 
 namespace fp::obs {
 
@@ -65,7 +67,8 @@ inline constexpr std::size_t flight_kind_count = 6;
 
 const char *toString(FlightKind kind);
 
-class FlightRecorder : public common::EventQueueObserver
+class FlightRecorder : public common::EventQueueObserver,
+                       public icn::PipelineObserver
 {
   public:
     /**
@@ -113,6 +116,14 @@ class FlightRecorder : public common::EventQueueObserver
     /** Records the event and publishes run-progress counters. */
     void beginEvent(const common::Event &event) override;
     void endEvent(const common::Event &event) override;
+
+    // ---- PipelineObserver ----------------------------------------------
+    /** One `rwq_flush` record labeled with the FlushReason. */
+    void windowFlushed(GpuId src, std::uint32_t window,
+                       const finepack::FlushedPartition &flushed,
+                       finepack::FlushReason reason, Tick tick) override;
+    /** One `fabric_inject` record. */
+    void messageInjected(const icn::WireMessage &msg, Tick tick) override;
 
     /**
      * Attach to @p queue for a run: the driver calls this (paired with

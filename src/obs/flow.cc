@@ -4,6 +4,7 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "interconnect/message.hh"
 #include "obs/trace_event.hh"
 
 namespace fp::obs {
@@ -65,35 +66,30 @@ FlowCollector::registerLink(std::string name, LinkKind kind, GpuId gpu)
 }
 
 void
-FlowCollector::recordInject(GpuId src, GpuId dst,
-                            std::uint64_t wire_bytes,
-                            std::uint64_t payload_bytes,
-                            std::uint64_t data_bytes,
-                            std::uint64_t packed_stores)
+FlowCollector::messageInjected(const icn::WireMessage &msg, Tick)
 {
     fp::MutexLock lock(_mu);
-    fp_assert(src < _num_gpus && dst < _num_gpus,
-              "flow inject outside the fabric: ", src, " -> ", dst);
-    FlowStats &flow = _flows[flowIndex(src, dst)];
+    fp_assert(msg.src < _num_gpus && msg.dst < _num_gpus,
+              "flow inject outside the fabric: ", msg.src, " -> ", msg.dst);
+    FlowStats &flow = _flows[flowIndex(msg.src, msg.dst)];
     ++flow.injected_msgs;
-    flow.injected_wire_bytes += wire_bytes;
-    flow.injected_payload_bytes += payload_bytes;
-    flow.injected_data_bytes += data_bytes;
-    flow.packed_stores += packed_stores;
+    flow.injected_wire_bytes += msg.wireBytes();
+    flow.injected_payload_bytes += msg.payload_bytes;
+    flow.injected_data_bytes += msg.data_bytes;
+    flow.packed_stores += msg.packed_store_count;
 }
 
 void
-FlowCollector::recordCommit(GpuId src, GpuId dst,
-                            std::uint64_t wire_bytes,
-                            std::uint64_t data_bytes)
+FlowCollector::messageCommitted(const icn::WireMessage &msg, Tick, Tick,
+                                Tick)
 {
     fp::MutexLock lock(_mu);
-    fp_assert(src < _num_gpus && dst < _num_gpus,
-              "flow commit outside the fabric: ", src, " -> ", dst);
-    FlowStats &flow = _flows[flowIndex(src, dst)];
+    fp_assert(msg.src < _num_gpus && msg.dst < _num_gpus,
+              "flow commit outside the fabric: ", msg.src, " -> ", msg.dst);
+    FlowStats &flow = _flows[flowIndex(msg.src, msg.dst)];
     ++flow.committed_msgs;
-    flow.committed_wire_bytes += wire_bytes;
-    flow.committed_data_bytes += data_bytes;
+    flow.committed_wire_bytes += msg.wireBytes();
+    flow.committed_data_bytes += msg.data_bytes;
 }
 
 void
@@ -138,57 +134,58 @@ FlowCollector::chargeWindows(LinkStats &link, Tick begin, Tick end,
 }
 
 void
-FlowCollector::recordTransmit(const LinkTransmit &tx)
+FlowCollector::linkTransmit(std::uint32_t link_id,
+                            const icn::WireMessage &msg, Tick enqueued,
+                            Tick start, Tick tx_ticks)
 {
     fp::MutexLock lock(_mu);
-    fp_assert(tx.link < _links.size(), "unregistered link id ", tx.link);
-    fp_assert(tx.src < _num_gpus && tx.dst < _num_gpus,
-              "flow transmit outside the fabric: ", tx.src, " -> ",
-              tx.dst);
-    fp_assert(tx.enqueued <= tx.start,
-              "transmit before enqueue on link ", tx.link);
+    fp_assert(link_id < _links.size(), "unregistered link id ", link_id);
+    fp_assert(msg.src < _num_gpus && msg.dst < _num_gpus,
+              "flow transmit outside the fabric: ", msg.src, " -> ",
+              msg.dst);
+    fp_assert(enqueued <= start, "transmit before enqueue on link ",
+              link_id);
 
-    Tick end = tx.start + tx.tx_ticks;
+    Tick end = start + tx_ticks;
     _max_event_tick = std::max(_max_event_tick, end);
     reserveWindows(end > 0 ? end - 1 : 0);
 
-    LinkStats &link = _links[tx.link];
+    LinkStats &link = _links[link_id];
     ++link.msgs;
-    link.wire_bytes += tx.wire_bytes;
-    link.payload_bytes += tx.payload_bytes;
-    link.data_bytes += tx.data_bytes;
-    link.busy_ticks += tx.tx_ticks;
+    link.wire_bytes += msg.wireBytes();
+    link.payload_bytes += msg.payload_bytes;
+    link.data_bytes += msg.data_bytes;
+    link.busy_ticks += tx_ticks;
 
-    chargeWindows(link, tx.start, end, /*busy=*/true);
-    std::size_t start_window = tx.start / _window_ticks;
+    chargeWindows(link, start, end, /*busy=*/true);
+    std::size_t start_window = start / _window_ticks;
     link.windows[start_window].msgs += 1;
-    link.windows[start_window].wire_bytes += tx.wire_bytes;
+    link.windows[start_window].wire_bytes += msg.wireBytes();
 
-    Tick wait = tx.start - tx.enqueued;
+    // Any wait is charged to the flow that transmitted last on this
+    // link. Without one (a collector attached mid-run) the flow
+    // self-charges, so the matrix still reconciles with wait_ticks.
+    std::uint32_t delayed_flow = flowIndex(msg.src, msg.dst);
+    std::uint32_t occupant = link.occupant.value_or(delayed_flow);
+    link.occupant = delayed_flow;
+
+    Tick wait = start - enqueued;
     if (wait == 0)
         return;
     link.wait_ticks += wait;
-    chargeWindows(link, tx.enqueued, tx.start, /*busy=*/false);
+    chargeWindows(link, enqueued, start, /*busy=*/false);
 
-    FlowStats &delayed = _flows[flowIndex(tx.src, tx.dst)];
+    FlowStats &delayed = _flows[delayed_flow];
     if (link.kind == LinkKind::uplink)
         delayed.uplink_wait_ticks += wait;
     else
         delayed.downlink_wait_ticks += wait;
     delayed.delay_suffered_ticks += wait;
 
-    // Charge the wait to the flow occupying the link. A wait implies a
-    // prior transmission, so the occupant is normally known; if a
-    // collector attached mid-run it is not, and the flow self-charges
-    // to keep the matrix reconciling with wait_ticks.
-    GpuId by_src = tx.have_occupant ? tx.occupant_src : tx.src;
-    GpuId by_dst = tx.have_occupant ? tx.occupant_dst : tx.dst;
-    fp_assert(by_src < _num_gpus && by_dst < _num_gpus,
-              "occupant outside the fabric: ", by_src, " -> ", by_dst);
-    _flows[flowIndex(by_src, by_dst)].delay_caused_ticks += wait;
-    link.interference[{flowIndex(by_src, by_dst),
-                       flowIndex(tx.src, tx.dst)}] += wait;
-    _matrix[static_cast<std::size_t>(by_src) * _num_gpus + tx.src] +=
+    _flows[occupant].delay_caused_ticks += wait;
+    link.interference[{occupant, delayed_flow}] += wait;
+    GpuId by_src = occupant / _num_gpus;
+    _matrix[static_cast<std::size_t>(by_src) * _num_gpus + msg.src] +=
         wait;
 }
 

@@ -3,23 +3,23 @@
  * Fabric flow observability: per-link utilization timelines, per-flow
  * (src GPU -> dst GPU) accounting, and contention attribution.
  *
- * The FlowCollector is a passive observer in the LatencyCollector
- * mold: the producer layers stay sink-free and the driver wires the
- * hooks only when SimConfig::flows is set, so the off path is one
- * pointer test per message. Three hook points feed it:
+ * The FlowCollector is a pipeline subscriber in the LatencyCollector
+ * mold (interconnect/pipeline_observer.hh): the driver subscribes it
+ * only when SimConfig::flows is set. Three milestones feed it:
  *
- *   - SwitchedFabric::inject     per-flow injected bytes/messages
- *   - Link::transmit             per-link serialization spans, queue
- *                                wait, and who-delayed-whom
- *   - IngressPort::receive       per-flow committed bytes/messages
+ *   - messageInjected    per-flow injected bytes/messages
+ *   - linkTransmit       per-link serialization spans, queue wait, and
+ *                        who-delayed-whom
+ *   - messageCommitted   per-flow committed bytes/messages
  *
  * Contention attribution: when a message starts serializing later than
  * it was enqueued (the link was busy or credit-stalled), the wait is
  * charged to the flow *occupying* the link - the most recently
- * transmitted message's (src, dst). That yields a per-link interference
- * ledger keyed by (delayer flow, delayed flow) and a fabric-wide
- * N x N GPU matrix (delayer source x delayed source) whose total
- * reconciles exactly with the sum of link wait ticks.
+ * transmitted message's (src, dst), which the collector tracks per
+ * link. That yields a per-link interference ledger keyed by (delayer
+ * flow, delayed flow) and a fabric-wide N x N GPU matrix (delayer
+ * source x delayed source) whose total reconciles exactly with the
+ * sum of link wait ticks.
  *
  * Utilization timelines: every link accumulates busy/wait overlap into
  * fixed-width sample windows shared across the fabric. When a run
@@ -28,7 +28,7 @@
  *
  * Collection never perturbs the simulation (no StatGroups are
  * registered, so the default stats document is bit-identical with and
- * without a collector); tests/sim/fabric_digest_test.cc enforces this.
+ * without a collector); tests/sim/observability_test.cc enforces this.
  * Schema: docs/observability.md; walkthrough:
  * docs/fabric_observability.md.
  */
@@ -38,12 +38,14 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/sync.h"
 #include "common/types.hh"
+#include "interconnect/pipeline_observer.hh"
 
 namespace fp::common {
 class JsonWriter;
@@ -60,7 +62,7 @@ class TraceSink;
  * shards), while the read accessors and dumpJson() are quiescent-read
  * only - call them once no record is in flight.
  */
-class FlowCollector
+class FlowCollector : public icn::PipelineObserver
 {
   public:
     enum class LinkKind : std::uint8_t { uplink, downlink };
@@ -101,6 +103,8 @@ class FlowCollector
          */
         std::map<std::pair<std::uint32_t, std::uint32_t>, Tick>
             interference;
+        /** Flow index of the last transmission (wait charging). */
+        std::optional<std::uint32_t> occupant;
     };
 
     /** Conservation ledger for one src -> dst flow. */
@@ -124,24 +128,6 @@ class FlowCollector
         bool active() const { return injected_msgs || committed_msgs; }
     };
 
-    /** One Link::transmit, reported by the link that serialized it. */
-    struct LinkTransmit
-    {
-        std::uint32_t link = 0;     ///< registerLink() id
-        GpuId src = 0;
-        GpuId dst = 0;
-        Tick enqueued = 0;          ///< send() tick (incl. credit stall)
-        Tick start = 0;             ///< serialization start
-        Tick tx_ticks = 0;          ///< serialization duration
-        std::uint64_t wire_bytes = 0;
-        std::uint64_t payload_bytes = 0;
-        std::uint64_t data_bytes = 0;
-        /** Valid occupant flow to charge any wait to? */
-        bool have_occupant = false;
-        GpuId occupant_src = 0;
-        GpuId occupant_dst = 0;
-    };
-
     /** @p window_ticks initial timeline sample width (doubles as needed). */
     explicit FlowCollector(Tick window_ticks = ticks_per_us);
 
@@ -154,22 +140,25 @@ class FlowCollector
     /** Close the run; @p end_tick is the utilization denominator. */
     void endRun(Tick end_tick) FP_EXCLUDES(_mu);
 
-    /** Add a link to the collector; returns its LinkTransmit::link id. */
+    /**
+     * Add a link to the collector; returns the id linkTransmit() must
+     * report for it. The driver registers each fabric link in
+     * fabricLinkId() order, so the two numberings agree.
+     */
     std::uint32_t registerLink(std::string name, LinkKind kind,
                                GpuId gpu) FP_EXCLUDES(_mu);
 
     /** One message injected into the fabric at its source uplink. */
-    FP_COLD void recordInject(GpuId src, GpuId dst, std::uint64_t wire_bytes,
-                      std::uint64_t payload_bytes,
-                      std::uint64_t data_bytes,
-                      std::uint64_t packed_stores) FP_EXCLUDES(_mu);
-
-    /** One serialization start on a registered link. */
-    FP_COLD void recordTransmit(const LinkTransmit &tx) FP_EXCLUDES(_mu);
-
+    void messageInjected(const icn::WireMessage &msg,
+                         Tick tick) FP_EXCLUDES(_mu) override;
+    /** One serialization start on registered link @p link. */
+    void linkTransmit(std::uint32_t link, const icn::WireMessage &msg,
+                      Tick enqueued, Tick start,
+                      Tick tx_ticks) FP_EXCLUDES(_mu) override;
     /** One message committed at its destination ingress port. */
-    FP_COLD void recordCommit(GpuId src, GpuId dst, std::uint64_t wire_bytes,
-                      std::uint64_t data_bytes) FP_EXCLUDES(_mu);
+    void messageCommitted(const icn::WireMessage &msg, Tick arrival,
+                          Tick drain_start,
+                          Tick commit) FP_EXCLUDES(_mu) override;
 
     // ---- Quiescent-read accessors (see class comment) -----------------
     std::uint32_t numGpus() const { return _num_gpus; }

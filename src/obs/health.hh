@@ -28,7 +28,7 @@
  *
  * Digest neutrality: the monitor never touches simulated state -- it
  * reads atomics and writes host-side JSON. Attaching it changes no
- * oracle / stats / RunResult digest (tests/sim/health_digest_test.cc).
+ * oracle / stats / RunResult digest (tests/sim/observability_test.cc).
  * All wall-clock use lives in health.cc behind fp-lint waivers: like
  * the profiler, measuring host time is this component's job.
  */

@@ -1,22 +1,15 @@
 #include "obs/latency.hh"
 
+#include <utility>
+
+#include "check/invariant.hh"
 #include "common/logging.hh"
+#include "finepack/remote_write_queue.hh"
+#include "interconnect/message.hh"
 
 namespace fp::obs {
 
-const char *
-flushReasonName(std::uint8_t reason)
-{
-    switch (reason) {
-      case 0: return "window-violation";
-      case 1: return "payload-full";
-      case 2: return "entries-full";
-      case 3: return "release";
-      case 4: return "load-conflict";
-      case 5: return "atomic-conflict";
-      default: return "none";
-    }
-}
+using finepack::flush_reason_count;
 
 std::size_t
 latencySizeClass(std::uint32_t size)
@@ -97,6 +90,10 @@ LatencyCollector::rebuildLocked(std::uint32_t num_gpus)
     _messages.reset();
     _stores.reset();
     _violations.reset();
+    _num_gpus = num_gpus;
+    _buffered.assign(static_cast<std::size_t>(num_gpus) * num_gpus, {});
+    _flushed.assign(static_cast<std::size_t>(num_gpus) * num_gpus, {});
+    _in_flight.clear();
 
     initHistogram(_residency);
     initHistogram(_serialization);
@@ -136,7 +133,7 @@ LatencyCollector::rebuildLocked(std::uint32_t num_gpus)
     for (std::size_t r = 0; r < flush_reason_count; ++r) {
         _group->registerHistogram(
             std::string("residency_ticks.")
-                + flushReasonName(static_cast<std::uint8_t>(r)),
+                + finepack::toString(static_cast<finepack::FlushReason>(r)),
             &_residency_by_reason[r],
             "coalescing residency for this flush trigger");
     }
@@ -171,15 +168,93 @@ LatencyCollector::rebuildLocked(std::uint32_t num_gpus)
     }
 }
 
+std::size_t
+LatencyCollector::pairIndex(GpuId src, GpuId dst) const
+{
+    fp_assert(src < _num_gpus && dst < _num_gpus,
+              "latency milestone outside the run: ", src, " -> ", dst);
+    return static_cast<std::size_t>(src) * _num_gpus + dst;
+}
+
 void
-LatencyCollector::record(GpuId dst, const MsgTimestamps &t, Tick arrival,
-                         Tick commit, const StoreStamp *stamps,
-                         std::size_t count)
+LatencyCollector::storeBuffered(GpuId src, GpuId dst, std::uint32_t window,
+                                const icn::Store &store, bool, std::uint32_t,
+                                Tick tick)
 {
     fp::MutexLock lock(_mu);
-    bool stamped = t.created != no_stamp && t.tx_start != no_stamp
-        && t.tx_end != no_stamp;
-    bool monotonic = stamped && t.created <= t.tx_start
+    auto &windows = _buffered[pairIndex(src, dst)];
+    if (windows.size() <= window)
+        windows.resize(window + 1);
+    windows[window].push_back({tick, store.size});
+}
+
+void
+LatencyCollector::windowFlushed(GpuId src, std::uint32_t window,
+                                const finepack::FlushedPartition &flushed,
+                                finepack::FlushReason reason, Tick)
+{
+    fp::MutexLock lock(_mu);
+    std::size_t pair = pairIndex(src, flushed.dst);
+    Trail trail;
+    trail.reason = reason;
+    auto &windows = _buffered[pair];
+    if (window < windows.size())
+        trail.stores = std::exchange(windows[window], {});
+    _flushed[pair].push_back(std::move(trail));
+}
+
+void
+LatencyCollector::messageInjected(const icn::WireMessage &msg, Tick tick)
+{
+    fp::MutexLock lock(_mu);
+    Trail trail;
+    if (msg.kind == icn::MessageKind::finepack_packet) {
+        auto &fifo = _flushed[pairIndex(msg.src, msg.dst)];
+        if (!fifo.empty()) {
+            trail = std::move(fifo.front());
+            fifo.pop_front();
+        }
+    } else if (msg.kind == icn::MessageKind::raw_store ||
+               msg.kind == icn::MessageKind::atomic_op) {
+        for (const icn::Store &store : msg.stores)
+            trail.stores.push_back({tick, store.size});
+    }
+    trail.created = tick;
+    _in_flight[msg.seq] = std::move(trail);
+}
+
+void
+LatencyCollector::linkTransmit(std::uint32_t, const icn::WireMessage &msg,
+                               Tick, Tick start, Tick tx_ticks)
+{
+    fp::MutexLock lock(_mu);
+    // The first link a message crosses (its source uplink) stamps the
+    // serialization milestones.
+    auto it = _in_flight.find(msg.seq);
+    if (it == _in_flight.end() || it->second.tx_start != max_tick)
+        return;
+    it->second.tx_start = start;
+    it->second.tx_end = start + tx_ticks;
+}
+
+void
+LatencyCollector::messageCommitted(const icn::WireMessage &msg,
+                                   Tick arrival, Tick, Tick commit)
+{
+    fp::MutexLock lock(_mu);
+    auto it = _in_flight.find(msg.seq);
+    FP_INVARIANT(it != _in_flight.end() && it->second.created <= arrival,
+                 "latency-milestone-order",
+                 "message ", msg.seq, " arrived at ", arrival,
+                 " without a monotonic inject milestone");
+    if (it == _in_flight.end()) {
+        ++_violations;
+        return;
+    }
+    Trail t = std::move(it->second);
+    _in_flight.erase(it);
+
+    bool monotonic = t.tx_start != max_tick && t.created <= t.tx_start
         && t.tx_start <= t.tx_end && t.tx_end <= arrival
         && arrival <= commit;
     if (!monotonic) {
@@ -187,6 +262,7 @@ LatencyCollector::record(GpuId dst, const MsgTimestamps &t, Tick arrival,
         return;
     }
 
+    GpuId dst = msg.dst;
     DstStats *per_dst = dst < _dst.size() ? &_dst[dst] : nullptr;
 
     auto serialization = static_cast<double>(t.tx_end - t.created);
@@ -202,19 +278,19 @@ LatencyCollector::record(GpuId dst, const MsgTimestamps &t, Tick arrival,
     }
     ++_messages;
 
-    for (std::size_t i = 0; i < count; ++i) {
-        const StoreStamp &stamp = stamps[i];
-        if (stamp.issue == no_stamp || stamp.issue > t.created) {
+    for (const Issue &issue : t.stores) {
+        if (issue.tick > t.created) {
             ++_violations;
             continue;
         }
-        auto residency = static_cast<double>(t.created - stamp.issue);
-        auto total = static_cast<double>(commit - stamp.issue);
+        auto residency = static_cast<double>(t.created - issue.tick);
+        auto total = static_cast<double>(commit - issue.tick);
         _residency.sample(residency);
         _total.sample(total);
-        if (t.flush_reason < flush_reason_count)
-            _residency_by_reason[t.flush_reason].sample(residency);
-        _total_by_size[latencySizeClass(stamp.size)].sample(total);
+        if (t.reason)
+            _residency_by_reason[static_cast<std::size_t>(*t.reason)]
+                .sample(residency);
+        _total_by_size[latencySizeClass(issue.size)].sample(total);
         if (per_dst) {
             per_dst->residency.sample(residency);
             per_dst->total.sample(total);

@@ -2,20 +2,23 @@
  * @file
  * Message-lifecycle latency attribution.
  *
- * Every remote store carries a simulated-time milestone trail as it
- * moves through the pipeline: issue at the warp coalescer / egress
- * port, fabric injection (which for FinePack traffic is the partition
- * flush, tagged with the FlushReason), first-link serialization, and
- * finally ingress arrival + commit to functional memory. The stamps
- * ride the wire message as plain data (obs::MsgTimestamps +
- * obs::StoreStamp) so the producer layers (interconnect, finepack,
- * gpu) stay free of any sink dependency; the consumer is the
- * LatencyCollector, wired into gpu::IngressPort by the driver when
- * SimConfig::latency is set.
+ * The LatencyCollector rebuilds every remote store's trail from the
+ * pipeline milestones (interconnect/pipeline_observer.hh): issue,
+ * fabric injection (for FinePack traffic the window flush, tagged with
+ * its FlushReason), first-link serialization, and ingress arrival +
+ * commit. The driver subscribes it when SimConfig::latency is set.
+ *
+ * Matching: storeBuffered appends the store's issue tick to a list
+ * per (src, dst, window); windowFlushed moves that list onto a FIFO
+ * per (src, dst), which the pair's next finepack_packet pops (the
+ * matching check::ProtocolOracle relies on). Raw stores and atomics
+ * issue at their inject tick; write-combine lines and DMA chunks carry
+ * no per-store trail. Trails are keyed by WireMessage::seq until the
+ * message commits.
  *
  * Stage definitions (docs/latency.md):
- *   residency      created  - issue    per store; RWQ coalescing wait
- *   serialization  tx_end   - created  source queueing + wire TX
+ *   residency      inject   - issue    per store; RWQ coalescing wait
+ *   serialization  tx_end   - inject   source queueing + wire TX
  *   propagation    arrival  - tx_end   switch hop + downlink + flight
  *   ingress_wait   commit   - arrival  ingress HBM drain queueing
  *   total          commit   - issue    per store, end to end
@@ -25,52 +28,19 @@
 #define FP_OBS_LATENCY_HH
 
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hh"
 #include "common/sync.h"
 #include "common/types.hh"
+#include "interconnect/pipeline_observer.hh"
 
 namespace fp::obs {
-
-/** Sentinel for "milestone not stamped yet". */
-inline constexpr Tick no_stamp = max_tick;
-
-/** Sentinel flush reason: message did not come from an RWQ flush. */
-inline constexpr std::uint8_t no_flush_reason = 0xff;
-
-/** Number of finepack::FlushReason values (cross-checked by tests). */
-inline constexpr std::size_t flush_reason_count = 6;
-
-/**
- * Human-readable flush-reason label matching finepack::toString()
- * (duplicated here because obs cannot depend on finepack; a unit test
- * asserts the two tables agree).
- */
-const char *flushReasonName(std::uint8_t reason);
-
-/** Per-store issue stamp, carried through coalescing into the packet. */
-struct StoreStamp
-{
-    Tick issue = no_stamp;      ///< store issued at the egress port
-    std::uint32_t size = 0;     ///< store payload bytes
-};
-
-/**
- * Message-level milestones, stamped in simulated time as the wire
- * message moves source -> fabric -> destination. Plain data: cheap to
- * default-construct and dead weight when no collector is attached.
- */
-struct MsgTimestamps
-{
-    Tick created = no_stamp;    ///< injected into the fabric
-    Tick tx_start = no_stamp;   ///< first link starts serializing
-    Tick tx_end = no_stamp;     ///< first link finished serializing
-    std::uint64_t flow_id = 0;  ///< nonzero: trace flow event chain id
-    std::uint8_t flush_reason = no_flush_reason;
-};
 
 /**
  * Aggregates per-message / per-store latency stages into StatGroup
@@ -79,14 +49,14 @@ struct MsgTimestamps
  * one "latency.dst<g>" group per destination GPU. All values are in
  * ticks (picoseconds); buckets are powers of two from 4 ns to ~68 ms.
  *
- * Thread safety: beginRun() and record() serialize on an internal
- * fp::Mutex, so a collector may be fed from concurrent ingress ports
- * (future parallel DES shards). The histogram accessors return
- * references without locking: read them only once the run has
- * quiesced (no record() in flight), which is when the driver and the
+ * Thread safety: beginRun() and the milestone hooks serialize on an
+ * internal fp::Mutex, so a collector may be fed from concurrent
+ * producers (future parallel DES shards). The histogram accessors
+ * return references without locking: read them only once the run has
+ * quiesced (no hook in flight), which is when the driver and the
  * tests consult them.
  */
-class LatencyCollector
+class LatencyCollector : public icn::PipelineObserver
 {
   public:
     LatencyCollector();
@@ -97,14 +67,24 @@ class LatencyCollector
     /** Reset and (re)build the per-destination groups for a run. */
     void beginRun(std::uint32_t num_gpus) FP_EXCLUDES(_mu);
 
-    /**
-     * Record one delivered message. @p stamps may be empty (DMA /
-     * write-combine paths have no per-store issue stamps and only
-     * contribute the message-level stages).
-     */
-    FP_COLD void record(GpuId dst, const MsgTimestamps &t, Tick arrival,
-                Tick commit, const StoreStamp *stamps,
-                std::size_t count) FP_EXCLUDES(_mu);
+    // ---- Pipeline milestones (interconnect/pipeline_observer.hh) ------
+    void storeBuffered(GpuId src, GpuId dst, std::uint32_t window,
+                       const icn::Store &store, bool queue_hit,
+                       std::uint32_t overwritten_bytes,
+                       Tick tick) FP_EXCLUDES(_mu) override;
+    void windowFlushed(GpuId src, std::uint32_t window,
+                       const finepack::FlushedPartition &flushed,
+                       finepack::FlushReason reason,
+                       Tick tick) FP_EXCLUDES(_mu) override;
+    void messageInjected(const icn::WireMessage &msg,
+                         Tick tick) FP_EXCLUDES(_mu) override;
+    void linkTransmit(std::uint32_t link, const icn::WireMessage &msg,
+                      Tick enqueued, Tick start,
+                      Tick tx_ticks) FP_EXCLUDES(_mu) override;
+    /** Samples every stage of the message's trail. */
+    void messageCommitted(const icn::WireMessage &msg, Tick arrival,
+                          Tick drain_start,
+                          Tick commit) FP_EXCLUDES(_mu) override;
 
     std::uint64_t messages() const FP_EXCLUDES(_mu);
     std::uint64_t stores() const FP_EXCLUDES(_mu);
@@ -119,6 +99,23 @@ class LatencyCollector
     const common::Histogram &total() const { return _total; }
 
   private:
+    /** One store's issue tick and size. */
+    struct Issue
+    {
+        Tick tick = 0;
+        std::uint32_t size = 0;
+    };
+
+    /** A flushed window's or injected message's milestones. */
+    struct Trail
+    {
+        Tick created = 0;
+        Tick tx_start = max_tick;
+        Tick tx_end = max_tick;
+        std::optional<finepack::FlushReason> reason;
+        std::vector<Issue> stores;
+    };
+
     /** Stage histograms for one destination GPU. */
     struct DstStats
     {
@@ -132,6 +129,7 @@ class LatencyCollector
 
     void initHistogram(common::Histogram &hist);
     void rebuildLocked(std::uint32_t num_gpus) FP_REQUIRES(_mu);
+    std::size_t pairIndex(GpuId src, GpuId dst) const FP_REQUIRES(_mu);
 
     mutable fp::Mutex _mu;
     std::unique_ptr<common::StatGroup> _group;
@@ -152,6 +150,15 @@ class LatencyCollector
     std::vector<common::Histogram> _total_by_size;
     std::vector<DstStats> _dst FP_GUARDED_BY(_mu);
     std::vector<double> _edges;
+
+    std::uint32_t _num_gpus FP_GUARDED_BY(_mu) = 0;
+    /** Buffered stores per (src, dst) pair, then per window slot. */
+    std::vector<std::vector<std::vector<Issue>>> _buffered
+        FP_GUARDED_BY(_mu);
+    /** Flushed windows awaiting their packet, per (src, dst) pair. */
+    std::vector<std::deque<Trail>> _flushed FP_GUARDED_BY(_mu);
+    /** Injected, uncommitted messages by WireMessage::seq. */
+    std::unordered_map<std::uint64_t, Trail> _in_flight FP_GUARDED_BY(_mu);
 };
 
 /** Size-class index for a store of @p size bytes: 0 => <=4 B ... */

@@ -17,7 +17,7 @@
  * queue's no-observer fast path: zero per-event virtual dispatch. On,
  * each event costs two clock reads and one hash-cache lookup. The
  * profiler never touches simulated state, so enabling it changes no
- * oracle/stats/result digest (tests/sim/profiler_digest_test.cc holds
+ * oracle/stats/result digest (tests/sim/observability_test.cc holds
  * this); it reports wantsAccesses() == false, keeping every
  * AccessRecorder on its null fast path.
  *

@@ -2,6 +2,8 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "finepack/remote_write_queue.hh"
+#include "interconnect/message.hh"
 
 namespace fp::obs {
 
@@ -187,6 +189,89 @@ TraceSink::write(std::ostream &os) const
     json.endObject();
     os << '\n';
     fp_assert(json.complete(), "trace JSON left unbalanced");
+}
+
+void
+TraceSink::storeBuffered(GpuId src, GpuId dst, std::uint32_t,
+                         const icn::Store &store, bool queue_hit,
+                         std::uint32_t overwritten_bytes, Tick tick)
+{
+    if (!full())
+        return;
+    if (queue_hit) {
+        instant(tracePidGpu(src), lane_rwq, "overwrite_in_place", "rwq",
+                tick, {"dst", static_cast<double>(dst)},
+                {"bytes", static_cast<double>(store.size)},
+                {"overwritten", static_cast<double>(overwritten_bytes)});
+    }
+    instant(tracePidGpu(src), lane_rwq, "enqueue", "rwq", tick,
+            {"dst", static_cast<double>(dst)},
+            {"bytes", static_cast<double>(store.size)});
+}
+
+void
+TraceSink::windowFlushed(GpuId src, std::uint32_t,
+                         const finepack::FlushedPartition &flushed,
+                         finepack::FlushReason reason, Tick tick)
+{
+    if (_detail == TraceDetail::off)
+        return;
+    instant(tracePidGpu(src), lane_rwq, finepack::toString(reason),
+            "rwq_flush", tick, {"dst", static_cast<double>(flushed.dst)},
+            {"entries", static_cast<double>(flushed.entries.size())},
+            {"stores", static_cast<double>(flushed.packed_store_count)});
+}
+
+void
+TraceSink::messageInjected(const icn::WireMessage &msg, Tick tick)
+{
+    if (_detail == TraceDetail::off ||
+        msg.kind != icn::MessageKind::finepack_packet)
+        return;
+    double payload = static_cast<double>(msg.payload_bytes);
+    double efficiency =
+        payload > 0.0 ? static_cast<double>(msg.data_bytes) / payload
+                      : 0.0;
+    // One de-packetized store per sub-packet.
+    instant(tracePidGpu(msg.src), lane_packetizer, "packet", "packetizer",
+            tick, {"sub_packets", static_cast<double>(msg.stores.size())},
+            {"stores", static_cast<double>(msg.packed_store_count)},
+            {"payload_efficiency", efficiency});
+}
+
+void
+TraceSink::linkTransmit(std::uint32_t link, const icn::WireMessage &msg,
+                        Tick, Tick start, Tick tx_ticks)
+{
+    if (!full())
+        return;
+    // fabricLinkId(): even ids are uplinks, the message's first hop.
+    std::uint32_t pid = tracePidGpu(link / 2);
+    bool uplink = link % 2 == 0;
+    std::uint32_t tid = uplink ? lane_uplink : lane_downlink;
+    complete(pid, tid, "tx", "link", start, tx_ticks,
+             {"wire_bytes", static_cast<double>(msg.wireBytes())},
+             {"data_bytes", static_cast<double>(msg.data_bytes)},
+             {"stores", static_cast<double>(msg.packed_store_count)});
+    if (uplink)
+        flowStart(pid, tid, "msg", "flow", start, msg.seq);
+    else
+        flowStep(pid, tid, "msg", "flow", start, msg.seq);
+}
+
+void
+TraceSink::messageCommitted(const icn::WireMessage &msg, Tick,
+                            Tick drain_start, Tick commit)
+{
+    if (!full())
+        return;
+    std::uint32_t pid = tracePidGpu(msg.dst);
+    complete(pid, lane_ingress, "drain", "ingress", drain_start,
+             commit - drain_start,
+             {"data_bytes", static_cast<double>(msg.data_bytes)},
+             {"stores", static_cast<double>(msg.stores.size())},
+             {"src", static_cast<double>(msg.src)});
+    flowEnd(pid, lane_ingress, "msg", "flow", drain_start, msg.seq);
 }
 
 } // namespace fp::obs

@@ -2,10 +2,12 @@
  * @file
  * Low-overhead event tracer emitting Chrome trace-event JSON.
  *
- * Components across the FinePack pipeline (remote write queue,
- * packetizer, egress/ingress ports, interconnect links, sim driver)
- * hold an optional TraceSink pointer; a null pointer means tracing is
- * off and every hook reduces to one branch. Recording an event copies
+ * The sink subscribes to the pipeline milestones
+ * (interconnect/pipeline_observer.hh) and renders them onto each GPU's
+ * lanes: RWQ enqueue / overwrite-in-place / flush instants, packet
+ * emits, link busy spans, ingress drain spans, and one flow-event
+ * chain per message keyed by its fabric sequence number. The driver
+ * adds kernel and iteration phases. Recording an event copies
  * a small POD - names and categories must be string literals (or
  * otherwise outlive the sink) so the hot path never formats strings or
  * allocates; only counter tracks, whose names are built once at
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "interconnect/pipeline_observer.hh"
 
 namespace fp::obs {
 
@@ -75,7 +78,7 @@ struct TraceArg
 };
 
 /** Collects trace events in memory; write() renders the JSON. */
-class TraceSink
+class TraceSink : public icn::PipelineObserver
 {
   public:
     explicit TraceSink(TraceDetail detail = TraceDetail::flush)
@@ -121,6 +124,21 @@ class TraceSink
                     const std::string &name);
 
     std::size_t eventCount() const { return _events.size(); }
+
+    // ---- Pipeline milestones: flush / packet instants at flush detail;
+    // ---- enqueue instants, link and drain spans, flows at full detail.
+    void storeBuffered(GpuId src, GpuId dst, std::uint32_t window,
+                       const icn::Store &store, bool queue_hit,
+                       std::uint32_t overwritten_bytes,
+                       Tick tick) override;
+    void windowFlushed(GpuId src, std::uint32_t window,
+                       const finepack::FlushedPartition &flushed,
+                       finepack::FlushReason reason, Tick tick) override;
+    void messageInjected(const icn::WireMessage &msg, Tick tick) override;
+    void linkTransmit(std::uint32_t link, const icn::WireMessage &msg,
+                      Tick enqueued, Tick start, Tick tx_ticks) override;
+    void messageCommitted(const icn::WireMessage &msg, Tick arrival,
+                          Tick drain_start, Tick commit) override;
 
     /** Render the trace as a Chrome trace-event JSON object. */
     void write(std::ostream &os) const;

@@ -144,9 +144,68 @@ SimulationDriver::runAnalytic(const trace::WorkloadTrace &trace,
 
 namespace {
 
+/**
+ * Forwards every pipeline milestone to each subscriber SimConfig
+ * turned on: the tracer, the latency and flow collectors, the flight
+ * recorder and the per-GPU protocol oracles.
+ */
+class PipelineFanout : public icn::PipelineObserver
+{
+  public:
+    std::vector<icn::PipelineObserver *> subscribers;
+
+    void
+    storeBuffered(GpuId src, GpuId dst, std::uint32_t window,
+                  const icn::Store &store, bool queue_hit,
+                  std::uint32_t overwritten_bytes, Tick tick) override
+    {
+        forward(&PipelineObserver::storeBuffered, src, dst, window, store,
+                queue_hit, overwritten_bytes, tick);
+    }
+
+    void
+    windowFlushed(GpuId src, std::uint32_t window,
+                  const finepack::FlushedPartition &flushed,
+                  finepack::FlushReason reason, Tick tick) override
+    {
+        forward(&PipelineObserver::windowFlushed, src, window, flushed,
+                reason, tick);
+    }
+
+    void
+    messageInjected(const icn::WireMessage &msg, Tick tick) override
+    { forward(&PipelineObserver::messageInjected, msg, tick); }
+
+    void
+    linkTransmit(std::uint32_t link, const icn::WireMessage &msg,
+                 Tick enqueued, Tick start, Tick tx_ticks) override
+    {
+        forward(&PipelineObserver::linkTransmit, link, msg, enqueued, start,
+                tx_ticks);
+    }
+
+    void
+    messageCommitted(const icn::WireMessage &msg, Tick arrival,
+                     Tick drain_start, Tick commit) override
+    {
+        forward(&PipelineObserver::messageCommitted, msg, arrival,
+                drain_start, commit);
+    }
+
+  private:
+    template <typename... Params, typename... Args>
+    void
+    forward(void (PipelineObserver::*hook)(Params...), const Args &...args)
+    {
+        for (icn::PipelineObserver *subscriber : subscribers)
+            (subscriber->*hook)(args...);
+    }
+};
+
 /** Everything alive during one event-driven run. */
 struct SimSystem
 {
+    PipelineFanout fanout;
     common::EventQueue queue;
     std::unique_ptr<icn::SwitchedFabric> fabric;
     std::vector<std::unique_ptr<gpu::EgressPort>> egress;
@@ -255,9 +314,9 @@ SimulationDriver::runEventDriven(const trace::WorkloadTrace &trace,
                 sys.oracles.push_back(
                     std::make_unique<check::ProtocolOracle>(
                         g, _config.finepack));
-                sys.egress.back()->attachOracle(sys.oracles.back().get());
                 sys.oracles.back()->setAccessRecorder(
                     common::AccessRecorder(sys.queue));
+                sys.fanout.subscribers.push_back(sys.oracles.back().get());
             }
         }
     }
@@ -270,7 +329,6 @@ SimulationDriver::runEventDriven(const trace::WorkloadTrace &trace,
         tracer->processName(obs::trace_pid_sim, "sim.driver");
         tracer->threadName(obs::trace_pid_sim, obs::lane_main,
                            toString(paradigm));
-        sys.fabric->setTracer(tracer);
         for (GpuId g = 0; g < gpus; ++g) {
             tracer->processName(obs::tracePidGpu(g),
                                 "gpu" + std::to_string(g));
@@ -286,31 +344,37 @@ SimulationDriver::runEventDriven(const trace::WorkloadTrace &trace,
                                "uplink");
             tracer->threadName(obs::tracePidGpu(g), obs::lane_downlink,
                                "downlink");
-            sys.ingress[g]->setTracer(tracer);
         }
-        for (auto &port : sys.egress)
-            port->setTracer(tracer);
+        sys.fanout.subscribers.push_back(tracer);
     }
 
     if (obs::LatencyCollector *latency = _config.latency) {
         latency->beginRun(gpus);
-        for (auto &port : sys.ingress)
-            port->setLatencyCollector(latency);
-        for (auto &port : sys.egress)
-            port->setLatencyCollector(latency);
+        sys.fanout.subscribers.push_back(latency);
     }
 
     if (obs::FlowCollector *flows = _config.flows) {
         flows->beginRun(gpus);
-        sys.fabric->setFlowCollector(flows);
-        for (auto &port : sys.ingress)
-            port->setFlowCollector(flows);
+        // Registration order matches icn::fabricLinkId().
+        for (GpuId g = 0; g < gpus; ++g) {
+            flows->registerLink(sys.fabric->uplink(g).name(),
+                                obs::FlowCollector::LinkKind::uplink, g);
+            flows->registerLink(sys.fabric->downlink(g).name(),
+                                obs::FlowCollector::LinkKind::downlink, g);
+        }
+        sys.fanout.subscribers.push_back(flows);
     }
 
-    if (obs::FlightRecorder *recorder = _config.recorder) {
-        sys.fabric->setFlightRecorder(recorder);
+    if (_config.recorder)
+        sys.fanout.subscribers.push_back(_config.recorder);
+
+    // One observer pointer per producer, null when nothing subscribed.
+    if (!sys.fanout.subscribers.empty()) {
+        sys.fabric->setObserver(&sys.fanout);
+        for (auto &port : sys.ingress)
+            port->setObserver(&sys.fanout);
         for (auto &port : sys.egress)
-            port->setFlightRecorder(recorder);
+            port->setObserver(&sys.fanout);
     }
 
     obs::PeriodicSampler *sampler = _config.sampler;

@@ -67,11 +67,11 @@ struct SimConfig
     bool check = false;
 
     // ---- Observability hooks (caller keeps ownership; all optional) ----
-    /**
-     * Event tracer: pipeline components emit Chrome trace events into
-     * it during event-driven runs. Null disables tracing entirely (the
-     * hooks reduce to one pointer test each).
-     */
+    // The tracer, latency and flow collectors, flight recorder and
+    // protocol oracles subscribe to the pipeline milestones
+    // (interconnect/pipeline_observer.hh) of event-driven runs; with
+    // none set, each milestone costs one null pointer test.
+    /** Event tracer: Chrome trace events of the whole pipeline. */
     obs::TraceSink *tracer = nullptr;
     /**
      * Periodic sampler: the driver registers its counter gauges (RWQ
@@ -84,19 +84,11 @@ struct SimConfig
      * registry just before the simulated system is torn down.
      */
     obs::MetricsCapture *metrics = nullptr;
-    /**
-     * Latency attribution collector: when set, egress ports stamp
-     * store issue ticks, the fabric/links stamp message milestones,
-     * and every ingress port records per-stage latencies into it.
-     * Event-driven paradigms only; see docs/latency.md.
-     */
+    /** Per-stage store latency attribution (docs/latency.md). */
     obs::LatencyCollector *latency = nullptr;
     /**
-     * Fabric flow collector: when set, the fabric registers its links
-     * with it, every link reports serialization starts (with queue
-     * wait charged to the occupying flow), and ingress ports close the
-     * per-flow conservation ledger. Event-driven paradigms only; see
-     * docs/fabric_observability.md.
+     * Per-link timelines, per-flow ledgers and contention attribution
+     * (docs/fabric_observability.md).
      */
     obs::FlowCollector *flows = nullptr;
     /**
@@ -107,10 +99,10 @@ struct SimConfig
      */
     obs::Profiler *profiler = nullptr;
     /**
-     * Flight recorder: rides the event-queue observer hooks and logs
-     * the last N executed events / RWQ flushes / fabric injects into a
-     * lock-free ring for post-mortems and the stall watchdog. Never
-     * changes simulated results (see docs/run_health.md).
+     * Flight recorder: rides the event-queue observer hooks and the
+     * pipeline milestones, logging the last N executed events / RWQ
+     * flushes / fabric injects into a lock-free ring for post-mortems
+     * and the stall watchdog (see docs/run_health.md).
      */
     obs::FlightRecorder *recorder = nullptr;
     /**

@@ -50,7 +50,9 @@ struct Pipeline
     Packetizer packetizer{src_gpu, defaultConfig()};
     icn::PcieProtocol protocol{icn::PcieGen::gen4};
 
-    Pipeline() { partition.setObserver(&oracle); }
+    common::EventQueue clock;
+
+    Pipeline() { partition.setObserver(&oracle, src_gpu, clock); }
 
     /** Push stores, then release-flush and return the wire message. */
     icn::WireMessagePtr

@@ -182,7 +182,7 @@ TEST(LinkTest, FlowCollectorSeesTransmitsAndOccupantWait)
     Link link("l", queue, 1.0, 0, nullptr);
     std::uint32_t id = flows.registerLink(
         link.name(), obs::FlowCollector::LinkKind::uplink, 0);
-    link.setFlowCollector(&flows, id);
+    link.setObserver(&flows, id);
 
     link.send(makeMessage(100, 0));
     link.send(makeMessage(50, 0)); // waits 100 ticks behind the first
@@ -195,13 +195,13 @@ TEST(LinkTest, FlowCollectorSeesTransmitsAndOccupantWait)
     EXPECT_EQ(stats.busy_ticks, 150u);
     EXPECT_EQ(stats.wait_ticks, 100u);
     // Both messages belong to flow g0->g1, so the wait self-attributes
-    // through the occupant (the first message), not the fallback.
+    // through the occupant the collector tracked (the first message).
     EXPECT_EQ(flows.flow(0, 1).delay_caused_ticks, 100u);
     EXPECT_EQ(flows.flow(0, 1).delay_suffered_ticks, 100u);
     EXPECT_EQ(flows.interferenceTicks(0, 0), 100u);
 
     // Detaching stops the reporting.
-    link.setFlowCollector(nullptr, 0);
+    link.setObserver(nullptr, 0);
     link.send(makeMessage(10, 0));
     queue.run();
     EXPECT_EQ(flows.links()[id].msgs, 2u);

@@ -1,8 +1,9 @@
 /**
- * Unit tests for obs::FlowCollector: window accounting, the
- * width-doubling merge, contention attribution (occupant charging and
- * the self-charge fallback), conservation arithmetic, and the
- * deterministic sorted-key JSON emission.
+ * Unit tests for obs::FlowCollector, driven through its pipeline
+ * milestones: window accounting, the width-doubling merge, contention
+ * attribution (occupant charging and the self-charge fallback),
+ * conservation arithmetic, and the deterministic sorted-key JSON
+ * emission.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <string>
 
 #include "common/json.hh"
+#include "interconnect/message.hh"
 #include "obs/flow.hh"
 #include "../support/mini_json.hh"
 
@@ -20,21 +22,28 @@ using fp::testing::parseJson;
 
 namespace {
 
-FlowCollector::LinkTransmit
-transmit(std::uint32_t link, GpuId src, GpuId dst, Tick enqueued,
-         Tick start, Tick tx_ticks, std::uint64_t wire_bytes)
+/** A message of @p wire bytes, @p payload of them TLP payload. */
+icn::WireMessage
+message(GpuId src, GpuId dst, std::uint64_t wire, std::uint64_t payload,
+        std::uint64_t data, std::uint64_t stores = 0)
 {
-    FlowCollector::LinkTransmit tx;
-    tx.link = link;
-    tx.src = src;
-    tx.dst = dst;
-    tx.enqueued = enqueued;
-    tx.start = start;
-    tx.tx_ticks = tx_ticks;
-    tx.wire_bytes = wire_bytes;
-    tx.payload_bytes = wire_bytes;
-    tx.data_bytes = wire_bytes;
-    return tx;
+    icn::WireMessage msg;
+    msg.src = src;
+    msg.dst = dst;
+    msg.payload_bytes = payload;
+    msg.header_bytes = wire - payload;
+    msg.data_bytes = data;
+    msg.packed_store_count = stores;
+    return msg;
+}
+
+void
+transmit(FlowCollector &flows, std::uint32_t link, GpuId src, GpuId dst,
+         Tick enqueued, Tick start, Tick tx_ticks, std::uint64_t wire_bytes)
+{
+    flows.linkTransmit(link, message(src, dst, wire_bytes, wire_bytes,
+                                     wire_bytes),
+                       enqueued, start, tx_ticks);
 }
 
 std::string
@@ -58,7 +67,7 @@ TEST(FlowCollectorTest, WindowAccountingSplitsAcrossBoundaries)
     // Serialization spans [50, 250): 50 ticks in window 0, 100 in
     // window 1, 50 in window 2. Start (tick 50) bins msgs/bytes in
     // window 0 only.
-    flows.recordTransmit(transmit(up, 0, 1, 50, 50, 200, 640));
+    transmit(flows, up, 0, 1, 50, 50, 200, 640);
     flows.endRun(300);
 
     const auto &link = flows.links()[up];
@@ -82,11 +91,11 @@ TEST(FlowCollectorTest, WindowDoublingConservesTotals)
                                           FlowCollector::LinkKind::uplink, 0);
 
     // A first message inside the initial budget...
-    flows.recordTransmit(transmit(up, 0, 1, 0, 0, 100, 256));
+    transmit(flows, up, 0, 1, 0, 0, 100, 256);
     Tick width_before = flows.windowTicks();
     EXPECT_EQ(width_before, 10u);
     // ... then one far beyond 1024 * 10 ticks, forcing merges.
-    flows.recordTransmit(transmit(up, 0, 1, 200000, 200000, 50, 64));
+    transmit(flows, up, 0, 1, 200000, 200000, 50, 64);
     flows.endRun(200050);
 
     EXPECT_GT(flows.windowTicks(), width_before);
@@ -114,13 +123,10 @@ TEST(FlowCollectorTest, WaitChargedToOccupantFlow)
         "down2", FlowCollector::LinkKind::downlink, 2);
 
     // Flow g0->g2 occupies [0, 100); g1->g2 enqueued at 10 starts at
-    // 100 after 90 ticks behind the occupant.
-    flows.recordTransmit(transmit(down, 0, 2, 0, 0, 100, 512));
-    auto tx = transmit(down, 1, 2, 10, 100, 80, 256);
-    tx.have_occupant = true;
-    tx.occupant_src = 0;
-    tx.occupant_dst = 2;
-    flows.recordTransmit(tx);
+    // 100 after 90 ticks behind the occupant, the link's last
+    // transmission.
+    transmit(flows, down, 0, 2, 0, 0, 100, 512);
+    transmit(flows, down, 1, 2, 10, 100, 80, 256);
     flows.endRun(200);
 
     EXPECT_EQ(flows.flow(0, 2).delay_caused_ticks, 90u);
@@ -149,9 +155,10 @@ TEST(FlowCollectorTest, UnknownOccupantSelfChargesToReconcile)
     std::uint32_t up = flows.registerLink("up1", //
                                           FlowCollector::LinkKind::uplink, 1);
 
-    // No occupant known (collector attached mid-run): the waiting flow
-    // charges itself so matrix total still equals wait_ticks.
-    flows.recordTransmit(transmit(up, 1, 0, 0, 40, 60, 128));
+    // No earlier transmission on the link (collector attached
+    // mid-run): the waiting flow charges itself so the matrix total
+    // still equals wait_ticks.
+    transmit(flows, up, 1, 0, 0, 40, 60, 128);
     flows.endRun(100);
 
     EXPECT_EQ(flows.flow(1, 0).delay_suffered_ticks, 40u);
@@ -165,11 +172,11 @@ TEST(FlowCollectorTest, ConservationLedgerAndPackingEfficiency)
 {
     FlowCollector flows;
     flows.beginRun(2);
-    flows.recordInject(0, 1, /*wire=*/100, /*payload=*/80, /*data=*/50,
-                       /*stores=*/10);
-    flows.recordInject(0, 1, 100, 80, 50, 10);
-    flows.recordCommit(0, 1, 100, 50);
-    flows.recordCommit(0, 1, 100, 50);
+    // wire 100, payload 80, data 50, 10 stores.
+    flows.messageInjected(message(0, 1, 100, 80, 50, 10), 0);
+    flows.messageInjected(message(0, 1, 100, 80, 50, 10), 0);
+    flows.messageCommitted(message(0, 1, 100, 100, 50), 0, 0, 0);
+    flows.messageCommitted(message(0, 1, 100, 100, 50), 0, 0, 0);
     flows.endRun(1);
 
     const auto &flow = flows.flow(0, 1);
@@ -196,9 +203,9 @@ TEST(FlowCollectorTest, HottestLinksOrderByBusyThenName)
     std::uint32_t c = flows.registerLink("c_link", //
                                          FlowCollector::LinkKind::downlink, 0);
 
-    flows.recordTransmit(transmit(a, 0, 1, 0, 0, 50, 64));
-    flows.recordTransmit(transmit(b, 1, 0, 0, 0, 50, 64));
-    flows.recordTransmit(transmit(c, 0, 1, 0, 0, 200, 64));
+    transmit(flows, a, 0, 1, 0, 0, 50, 64);
+    transmit(flows, b, 1, 0, 0, 0, 50, 64);
+    transmit(flows, c, 0, 1, 0, 0, 200, 64);
     flows.endRun(300);
 
     auto order = flows.hottestLinks(2);
@@ -218,13 +225,13 @@ TEST(FlowCollectorTest, JsonKeysAreSortedAndDeterministic)
             "down0", FlowCollector::LinkKind::downlink, 0);
         std::uint32_t m = flows.registerLink(
             "up0", FlowCollector::LinkKind::uplink, 0);
-        flows.recordInject(2, 0, 100, 80, 60, 4);
-        flows.recordInject(0, 1, 50, 40, 30, 2);
-        flows.recordTransmit(transmit(z, 2, 0, 0, 0, 100, 100));
-        flows.recordTransmit(transmit(m, 0, 1, 0, 0, 50, 50));
-        flows.recordTransmit(transmit(a, 2, 0, 0, 20, 30, 100));
-        flows.recordCommit(2, 0, 100, 60);
-        flows.recordCommit(0, 1, 50, 30);
+        flows.messageInjected(message(2, 0, 100, 80, 60, 4), 0);
+        flows.messageInjected(message(0, 1, 50, 40, 30, 2), 0);
+        transmit(flows, z, 2, 0, 0, 0, 100, 100);
+        transmit(flows, m, 0, 1, 0, 0, 50, 50);
+        transmit(flows, a, 2, 0, 0, 20, 30, 100);
+        flows.messageCommitted(message(2, 0, 100, 100, 60), 0, 0, 0);
+        flows.messageCommitted(message(0, 1, 50, 50, 30), 0, 0, 0);
         flows.endRun(500);
     };
 
@@ -268,8 +275,8 @@ TEST(FlowCollectorTest, BeginRunResetsEverything)
     flows.beginRun(2);
     std::uint32_t up = flows.registerLink("up0", //
                                           FlowCollector::LinkKind::uplink, 0);
-    flows.recordInject(0, 1, 100, 80, 60, 4);
-    flows.recordTransmit(transmit(up, 0, 1, 0, 0, 50000, 100));
+    flows.messageInjected(message(0, 1, 100, 80, 60, 4), 0);
+    transmit(flows, up, 0, 1, 0, 0, 50000, 100);
     flows.endRun(50000);
     ASSERT_GT(flows.windowTicks(), 10u); // doubling happened
 
