@@ -29,6 +29,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "common/logging.hh"
 #include "common/sync.h"
@@ -105,7 +106,12 @@ class InvariantRegistry
         void *arg;
         {
             fp::MutexLock lock(_mu);
-            ++_counts[name];
+            // Look the literal up without building a std::string: only
+            // the first evaluation of a name allocates.
+            auto it = _counts.find(std::string_view(name));
+            if (it == _counts.end())
+                it = _counts.emplace(name, 0).first;
+            ++it->second;
             ++_total;
             hook = _check_hook;
             arg = _check_arg;
@@ -187,7 +193,7 @@ class InvariantRegistry
     counts() const FP_EXCLUDES(_mu)
     {
         fp::MutexLock lock(_mu);
-        return _counts;
+        return {_counts.begin(), _counts.end()};
     }
 
     /** Clear all counters (tests isolate themselves with this). */
@@ -204,7 +210,8 @@ class InvariantRegistry
     InvariantRegistry() = default;
 
     mutable fp::Mutex _mu;
-    std::map<std::string, std::uint64_t> _counts FP_GUARDED_BY(_mu);
+    std::map<std::string, std::uint64_t, std::less<>>
+        _counts FP_GUARDED_BY(_mu);
     std::uint64_t _total FP_GUARDED_BY(_mu) = 0;
     std::uint64_t _failures FP_GUARDED_BY(_mu) = 0;
     CheckHook _check_hook FP_GUARDED_BY(_mu) = nullptr;

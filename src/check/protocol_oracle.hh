@@ -71,7 +71,7 @@ class ProtocolOracle : public icn::PipelineObserver
      * oldest outstanding flush for its destination (flushes packetize
      * in FIFO order). Panics on any byte-level or structural mismatch.
      */
-    FP_COLD void verifyMessage(const icn::WireMessage &msg);
+    void verifyMessage(const icn::WireMessage &msg);
 
     /**
      * End-of-run check: every buffered byte must have flushed and every

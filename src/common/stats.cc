@@ -340,6 +340,11 @@ MetricsRegistry::remove(const StatGroup *group)
     auto it = std::find(_groups.begin(), _groups.end(), group);
     if (it != _groups.end())
         _groups.erase(it);
+    // Free the list with its last group, so each run grows it from
+    // empty and a run's heap-allocation count does not depend on what
+    // ran before it in the process.
+    if (_groups.empty())
+        std::vector<const StatGroup *>().swap(_groups);
 }
 
 void

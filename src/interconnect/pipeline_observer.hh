@@ -58,7 +58,7 @@ class PipelineObserver
      * partition; on a @p queue_hit it overwrote @p overwritten_bytes
      * in place. A window flushed to admit the store reports first.
      */
-    FP_COLD virtual void
+    virtual void
     storeBuffered(GpuId /*src*/, GpuId /*dst*/, std::uint32_t /*window*/,
                   const Store & /*store*/, bool /*queue_hit*/,
                   std::uint32_t /*overwritten_bytes*/, Tick /*tick*/) {}
@@ -67,20 +67,20 @@ class PipelineObserver
      * GPU @p src captured window slot @p window for packetization; it
      * injects one finepack_packet per flush, in flush order per dst.
      */
-    FP_COLD virtual void
+    virtual void
     windowFlushed(GpuId /*src*/, std::uint32_t /*window*/,
                   const finepack::FlushedPartition & /*flushed*/,
                   finepack::FlushReason /*reason*/, Tick /*tick*/) {}
 
     /** @p msg entered the fabric; msg.seq now identifies it. */
-    FP_COLD virtual void
+    virtual void
     messageInjected(const WireMessage & /*msg*/, Tick /*tick*/) {}
 
     /**
      * Link @p link (see fabricLinkId) began serializing @p msg at
      * @p start for @p tx_ticks; it was enqueued at @p enqueued.
      */
-    FP_COLD virtual void
+    virtual void
     linkTransmit(std::uint32_t /*link*/, const WireMessage & /*msg*/,
                  Tick /*enqueued*/, Tick /*start*/, Tick /*tx_ticks*/) {}
 
@@ -88,7 +88,7 @@ class PipelineObserver
      * @p msg arrived at its destination's ingress at @p arrival; its
      * stores drain into memory from @p drain_start until @p commit.
      */
-    FP_COLD virtual void
+    virtual void
     messageCommitted(const WireMessage & /*msg*/, Tick /*arrival*/,
                      Tick /*drain_start*/, Tick /*commit*/) {}
 };

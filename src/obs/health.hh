@@ -10,11 +10,11 @@
  * outstanding). HealthMonitor owns a single watchdog thread (fp::Thread
  * on the annotated sync primitives in common/sync.h) that wakes every
  * heartbeat interval, reads ONLY the relaxed progress atomics published
- * by a FlightRecorder / SweepRunner / common::AllocCounters, and:
+ * by a FlightRecorder / SweepRunner / common::heapAllocations(), and:
  *
  *  - emits one line-delimited JSON `kind:"heartbeat"` document (tick,
  *    events, events/sec, queue depth/peak, RWQ flush totals, invariant
- *    evaluations, allocation counters, RSS high-water from
+ *    evaluations, heap allocations, RSS high-water from
  *    /proc/self/status, sweep done/total with an ETA) to stderr or the
  *    configured path,
  *  - publishes that line into the fatal handler's buffer

@@ -6,7 +6,7 @@
 #include <chrono>
 #include <map>
 
-#include "common/alloc_counters.hh"
+#include "common/heap_allocations.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "obs/trace_event.hh"
@@ -32,18 +32,13 @@ nowNs()
 } // namespace
 
 void
-Profiler::beginRun(common::EventQueue *queue)
+Profiler::beginRun(const common::EventQueue *queue)
 {
     fp_assert(queue != nullptr, "profiler needs a queue to observe");
     fp_assert(_queue == nullptr, "profiler already attached to a run");
     fp_assert(_stack.empty(), "profiler run started inside an open frame");
     _queue = queue;
-    _queue->addObserver(this);
-    common::AllocCounters::active.fetch_add(1, std::memory_order_relaxed);
-    _alloc_lambda_base = common::AllocCounters::lambda_events.load(
-        std::memory_order_relaxed);
-    _alloc_wire_base = common::AllocCounters::wire_messages.load(
-        std::memory_order_relaxed);
+    _heap_base = common::heapAllocations();
     _run_start_ns = nowNs();
     if (!_origin_set) {
         _origin_ns = _run_start_ns;
@@ -61,16 +56,9 @@ Profiler::endRun()
     _queue_pops += _queue->eventsProcessed();
     _queue_stale_drops += _queue->staleDrops();
     _queue_peak_depth = std::max(_queue_peak_depth, _queue->peakDepth());
-    // Process-wide deltas: coarse by design under parallel sweeps
+    // A process-wide delta: coarse by design under parallel sweeps
     // (concurrent shards fold into whichever profilers are active).
-    _lambda_allocs += common::AllocCounters::lambda_events.load(
-                          std::memory_order_relaxed) -
-                      _alloc_lambda_base;
-    _wire_allocs += common::AllocCounters::wire_messages.load(
-                        std::memory_order_relaxed) -
-                    _alloc_wire_base;
-    common::AllocCounters::active.fetch_sub(1, std::memory_order_relaxed);
-    _queue->removeObserver(this);
+    _heap_allocs += common::heapAllocations() - _heap_base;
     _queue = nullptr;
 }
 
@@ -194,8 +182,7 @@ Profiler::dumpJson(common::JsonWriter &json, std::size_t top_n) const
     json.endObject();
     json.key("alloc");
     json.beginObject();
-    json.kv("lambda_events", _lambda_allocs);
-    json.kv("wire_messages", _wire_allocs);
+    json.kv("heap", _heap_allocs);
     json.endObject();
     json.key("hotspots");
     json.beginArray();
@@ -249,8 +236,7 @@ Profiler::reset()
     _queue_pops = 0;
     _queue_stale_drops = 0;
     _queue_peak_depth = 0;
-    _lambda_allocs = 0;
-    _wire_allocs = 0;
+    _heap_allocs = 0;
     _origin_ns = 0;
     _origin_set = false;
 }

@@ -8,23 +8,25 @@
  * labels (Event::description()), aggregated into per-label buckets
  * (count, total ns, self ns, max ns) with a top-N hotspot report. It
  * also snapshots the queue's operation counters (pushes, pops, stale
- * drops, peak heap depth) and the coarse allocation counters on the
- * event / wire-message hot paths (common::AllocCounters), and derives
- * events-per-second throughput - the number ROADMAP item 1's engine
- * overhaul will be judged by.
+ * drops, peak heap depth) and the run's heap allocations
+ * (common::heapAllocations()), and derives events-per-second
+ * throughput - the number ROADMAP item 1's engine overhaul will be
+ * judged by.
  *
  * Cost model: off (not attached - every normal run) is exactly the
  * queue's no-observer fast path: zero per-event virtual dispatch. On,
  * each event costs two clock reads and one hash-cache lookup. The
- * profiler never touches simulated state, so enabling it changes no
+ * profiler holds the queue it reads as const - the caller attaches it
+ * as an observer - so it cannot schedule or otherwise touch simulated
+ * state, and enabling it changes no
  * oracle/stats/result digest (tests/sim/observability_test.cc holds
  * this); it reports wantsAccesses() == false, keeping every
  * AccessRecorder on its null fast path.
  *
  * Threading: one Profiler serves one simulation thread at a time.
  * Parallel sweeps (sim::SweepRunner) use one Profiler per shard; only
- * the process-wide AllocCounters are shared (atomic, and documented as
- * coarse under concurrency). See docs/profiling.md.
+ * the process-wide heap-allocation count is shared (atomic, and
+ * documented as coarse under concurrency). See docs/profiling.md.
  */
 
 #ifndef FP_OBS_PROFILER_HH
@@ -94,17 +96,19 @@ class Profiler : public common::EventQueueObserver
     };
 
     /**
-     * Attach to @p queue (observer hooks + wall-clock start) and
-     * activate the process-wide allocation counters. One run at a
-     * time; aggregates accumulate across runs so N reps of a workload
-     * fold into one report.
+     * Start a run on @p queue: wall-clock and heap-allocation
+     * baselines. The caller attaches the profiler to the queue as an
+     * observer (EventQueue::addObserver) before the first event and
+     * detaches it after endRun(). One run at a time; aggregates
+     * accumulate across runs so N reps of a workload fold into one
+     * report.
      */
-    void beginRun(common::EventQueue *queue);
+    void beginRun(const common::EventQueue *queue);
 
     /**
-     * Detach from the run's queue, folding its wall time, operation
-     * counters, and allocation deltas into the aggregates. Must be
-     * called while the queue is still alive.
+     * Fold the run's wall time, queue operation counters and heap
+     * allocations into the aggregates. Must be called while the queue
+     * is still alive.
      */
     void endRun();
 
@@ -125,8 +129,8 @@ class Profiler : public common::EventQueueObserver
     std::uint64_t queueStaleDrops() const { return _queue_stale_drops; }
     std::size_t queuePeakDepth() const { return _queue_peak_depth; }
 
-    std::uint64_t lambdaEventAllocs() const { return _lambda_allocs; }
-    std::uint64_t wireMessageAllocs() const { return _wire_allocs; }
+    /** Heap allocations made inside beginRun()..endRun() windows. */
+    std::uint64_t heapAllocs() const { return _heap_allocs; }
 
     /**
      * Hotspots sorted by self time (descending; label breaks ties for
@@ -138,8 +142,8 @@ class Profiler : public common::EventQueueObserver
 
     /**
      * The stats-JSON `host` object (schema in docs/profiling.md):
-     * wall_ns, events, events_per_sec, queue counters, alloc counters,
-     * and the hotspot table.
+     * wall_ns, events, events_per_sec, queue counters, heap
+     * allocations, and the hotspot table.
      */
     void dumpJson(common::JsonWriter &json, std::size_t top_n = 0) const;
 
@@ -205,22 +209,20 @@ class Profiler : public common::EventQueueObserver
     std::vector<Slice> _slices;
     std::uint64_t _dropped_slices = 0;
 
-    common::EventQueue *_queue = nullptr;
+    const common::EventQueue *_queue = nullptr;
     std::uint64_t _events = 0;
     std::uint64_t _wall_ns = 0;
     std::uint64_t _queue_pushes = 0;
     std::uint64_t _queue_pops = 0;
     std::uint64_t _queue_stale_drops = 0;
     std::size_t _queue_peak_depth = 0;
-    std::uint64_t _lambda_allocs = 0;
-    std::uint64_t _wire_allocs = 0;
+    std::uint64_t _heap_allocs = 0;
 
     /** Wall-ns origin of the host timeline (first beginRun()). */
     std::uint64_t _origin_ns = 0;
     bool _origin_set = false;
     std::uint64_t _run_start_ns = 0;
-    std::uint64_t _alloc_lambda_base = 0;
-    std::uint64_t _alloc_wire_base = 0;
+    std::uint64_t _heap_base = 0;
 };
 
 } // namespace fp::obs

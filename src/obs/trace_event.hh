@@ -54,7 +54,7 @@ inline constexpr std::uint32_t trace_pid_sim = 0;
 inline constexpr std::uint32_t trace_pid_host = 0xffffu;
 
 /** pid of GPU @p g (pid 0 is reserved for the sim driver). */
-FP_HOT inline std::uint32_t
+inline std::uint32_t
 tracePidGpu(GpuId g)
 {
     return g + 1;
@@ -85,24 +85,24 @@ class TraceSink : public icn::PipelineObserver
         : _detail(detail)
     {}
 
-    FP_HOT TraceDetail detail() const { return _detail; }
+    TraceDetail detail() const { return _detail; }
     /** True when per-store / per-message hooks should fire. */
-    FP_HOT bool full() const { return _detail == TraceDetail::full; }
+    bool full() const { return _detail == TraceDetail::full; }
 
     using Arg = TraceArg;
 
     /** Complete duration span (ph "X"). */
-    FP_COLD void complete(std::uint32_t pid, std::uint32_t tid, const char *name,
+    void complete(std::uint32_t pid, std::uint32_t tid, const char *name,
                   const char *cat, Tick ts, Tick dur, Arg a0 = {},
                   Arg a1 = {}, Arg a2 = {});
 
     /** Instant event (ph "i", thread scope). */
-    FP_COLD void instant(std::uint32_t pid, std::uint32_t tid, const char *name,
+    void instant(std::uint32_t pid, std::uint32_t tid, const char *name,
                  const char *cat, Tick ts, Arg a0 = {}, Arg a1 = {},
                  Arg a2 = {});
 
     /** Counter sample (ph "C"); @p track may be a dynamic string. */
-    FP_COLD void counter(std::uint32_t pid, const std::string &track, Tick ts,
+    void counter(std::uint32_t pid, const std::string &track, Tick ts,
                  double value);
 
     /**
@@ -111,11 +111,11 @@ class TraceSink : public icn::PipelineObserver
      * in Perfetto. Each binds to the enclosing ph-"X" slice on the
      * same pid/tid at @p ts.
      */
-    FP_COLD void flowStart(std::uint32_t pid, std::uint32_t tid, const char *name,
+    void flowStart(std::uint32_t pid, std::uint32_t tid, const char *name,
                    const char *cat, Tick ts, std::uint64_t id);
-    FP_COLD void flowStep(std::uint32_t pid, std::uint32_t tid, const char *name,
+    void flowStep(std::uint32_t pid, std::uint32_t tid, const char *name,
                   const char *cat, Tick ts, std::uint64_t id);
-    FP_COLD void flowEnd(std::uint32_t pid, std::uint32_t tid, const char *name,
+    void flowEnd(std::uint32_t pid, std::uint32_t tid, const char *name,
                  const char *cat, Tick ts, std::uint64_t id);
 
     /** Process / thread naming metadata (ph "M"). */

@@ -221,7 +221,7 @@ struct SimSystem
  * handler. Polls the cooperative interrupt flag so SIGINT unwinds at
  * the next queue step instead of after the full spin.
  */
-FP_COLD void
+void
 spinHostMs(std::uint32_t ms)
 {
     // fp-lint: allow(wall-clock) deliberate host-time spin (watchdog test aid)
@@ -272,9 +272,12 @@ SimulationDriver::runEventDriven(const trace::WorkloadTrace &trace,
         sys.queue.addObserver(_config.queue_observer);
     // The self-profiler rides the same observer hooks (wall-clock only,
     // no access recording): attach before the first event so its
-    // counters cover the whole run.
-    if (_config.profiler)
-        _config.profiler->beginRun(&sys.queue);
+    // counters cover the whole run. It reads the queue through a const
+    // pointer; only the driver attaches and detaches it.
+    if (obs::Profiler *profiler = _config.profiler) {
+        sys.queue.addObserver(profiler);
+        profiler->beginRun(&sys.queue);
+    }
     // The flight recorder rides the same hooks; it additionally gets
     // the queue pointer so beginEvent can publish progress counters
     // for the watchdog and the signal handler.
@@ -589,9 +592,12 @@ SimulationDriver::runEventDriven(const trace::WorkloadTrace &trace,
                                 std::memory_order_relaxed);
 
     // Detach the profiler while the queue is alive; it folds this
-    // run's wall time and queue/alloc counters into its aggregates.
-    if (_config.profiler)
+    // run's wall time, queue counters and heap allocations into its
+    // aggregates.
+    if (_config.profiler) {
         _config.profiler->endRun();
+        sys.queue.removeObserver(_config.profiler);
+    }
     // Publish final queue counters into the recorder and detach it
     // from this run's queue before teardown.
     if (_config.recorder)

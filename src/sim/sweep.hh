@@ -51,7 +51,7 @@ namespace fp::sim {
  * synchronized. Host self-profiling under a parallel sweep therefore
  * means one obs::Profiler per job (tests/sim/profiler_thread_test.cc
  * exercises this under TSan); only the process-wide
- * common::AllocCounters are shared, and those are atomic and
+ * common::heapAllocations() count is shared, and it is atomic and
  * documented as coarse when profiled shards overlap.
  */
 struct SweepJob

@@ -2,17 +2,19 @@
  * @file
  * obs::Profiler unit tests: label attribution, scope nesting and
  * self-time, the JSON schema of the `host` stats section, trace
- * emission, allocation-counter gating, and aggregate reset.
+ * emission, the per-run heap-allocation delta, and aggregate reset.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/alloc_counters.hh"
 #include "common/event_queue.hh"
+#include "common/heap_allocations.hh"
 #include "common/json.hh"
 #include "obs/profiler.hh"
 #include "obs/trace_event.hh"
@@ -20,7 +22,6 @@
 
 namespace {
 
-using fp::common::AllocCounters;
 using fp::common::Event;
 using fp::common::EventQueue;
 using fp::common::JsonWriter;
@@ -34,7 +35,7 @@ spin()
 {
     volatile unsigned sink = 0;
     for (unsigned i = 0; i < 20000; ++i)
-        sink += i;
+        sink = sink + i;
 }
 
 const HostHotspot *
@@ -50,6 +51,7 @@ TEST(Profiler, AttributesEventsToLabels)
 {
     EventQueue queue;
     Profiler profiler;
+    queue.addObserver(&profiler);
     profiler.beginRun(&queue);
     queue.schedule([] { spin(); }, 10, Event::prio_default, "store.issue");
     queue.schedule([] { spin(); }, 20, Event::prio_default, "store.issue");
@@ -80,6 +82,7 @@ TEST(Profiler, ScopeNestsEventsAndSeparatesSelfTime)
 {
     EventQueue queue;
     Profiler profiler;
+    queue.addObserver(&profiler);
     profiler.beginRun(&queue);
     queue.schedule([] { spin(); }, 5, Event::prio_default, "inner.event");
     {
@@ -103,6 +106,7 @@ TEST(Profiler, TopNLimitsAndSortsBySelfTime)
 {
     EventQueue queue;
     Profiler profiler;
+    queue.addObserver(&profiler);
     profiler.beginRun(&queue);
     queue.schedule([] { spin(); }, 1, Event::prio_default, "alpha");
     queue.schedule([] {}, 2, Event::prio_default, "beta");
@@ -137,6 +141,7 @@ TEST(Profiler, BucketsMergeByLabelText)
 
     EventQueue queue;
     Profiler profiler;
+    queue.addObserver(&profiler);
     profiler.beginRun(&queue);
     queue.schedule([] {}, 1, Event::prio_default, first);
     queue.schedule([] {}, 2, Event::prio_default, second);
@@ -153,6 +158,7 @@ TEST(Profiler, DumpJsonMatchesSchemaAndAccessors)
 {
     EventQueue queue;
     Profiler profiler;
+    queue.addObserver(&profiler);
     profiler.beginRun(&queue);
     queue.schedule([] { spin(); }, 10, Event::prio_default, "hot.label");
     {
@@ -176,8 +182,8 @@ TEST(Profiler, DumpJsonMatchesSchemaAndAccessors)
     EXPECT_EQ(doc.at("queue").at("pops").number, 1.0);
     EXPECT_EQ(doc.at("queue").at("stale_drops").number, 0.0);
     EXPECT_GE(doc.at("queue").at("peak_depth").number, 1.0);
-    EXPECT_TRUE(doc.at("alloc").has("lambda_events"));
-    EXPECT_TRUE(doc.at("alloc").has("wire_messages"));
+    EXPECT_EQ(doc.at("alloc").at("heap").number,
+              static_cast<double>(profiler.heapAllocs()));
 
     const auto &hotspots = doc.at("hotspots");
     ASSERT_TRUE(hotspots.isArray());
@@ -195,6 +201,7 @@ TEST(Profiler, EmitTraceRendersScopeSlicesUnderHostPid)
 {
     EventQueue queue;
     Profiler profiler;
+    queue.addObserver(&profiler);
     profiler.beginRun(&queue);
     {
         Profiler::Scope a(&profiler, "slice.a");
@@ -226,24 +233,28 @@ TEST(Profiler, EmitTraceRendersScopeSlicesUnderHostPid)
     EXPECT_TRUE(saw_host_pid);
 }
 
-TEST(Profiler, AllocCountersOnlyCountWhileAProfilerIsActive)
+TEST(Profiler, HeapIsTheNonzeroDeltaOfOneRun)
 {
     EventQueue queue;
-    // Nobody profiling: the counting branch stays cold.
-    ASSERT_EQ(AllocCounters::active.load(), 0);
-    auto lambda_before = AllocCounters::lambda_events.load();
-    queue.schedule([] {}, 1);
-    EXPECT_EQ(AllocCounters::lambda_events.load(), lambda_before);
-    queue.run();
-
     Profiler profiler;
+    queue.addObserver(&profiler);
+    std::uint64_t before = fp::common::heapAllocations();
     profiler.beginRun(&queue);
-    queue.schedule([] {}, 10);
-    queue.schedule([] {}, 11);
+    // Each queue-owned one-shot event is at least one allocation.
+    queue.schedule([] {}, 10, Event::prio_default, "alloc.a");
+    queue.schedule([] {}, 11, Event::prio_default, "alloc.b");
     queue.run();
     profiler.endRun();
-    EXPECT_EQ(profiler.lambdaEventAllocs(), 2u);
-    EXPECT_EQ(AllocCounters::active.load(), 0);
+    std::uint64_t run_delta = fp::common::heapAllocations() - before;
+
+    EXPECT_GE(profiler.heapAllocs(), 2u);
+    EXPECT_LE(profiler.heapAllocs(), run_delta);
+
+    // Allocations outside the beginRun()..endRun() window do not count.
+    std::uint64_t counted = profiler.heapAllocs();
+    auto outside = std::make_unique<int>(1);
+    EXPECT_GT(fp::common::heapAllocations(), before + run_delta);
+    EXPECT_EQ(profiler.heapAllocs(), counted);
 }
 
 TEST(Profiler, AggregatesAccumulateAcrossRunsAndResetClears)
@@ -251,6 +262,7 @@ TEST(Profiler, AggregatesAccumulateAcrossRunsAndResetClears)
     Profiler profiler;
     for (int rep = 0; rep < 2; ++rep) {
         EventQueue queue; // fresh queue per rep, as cmdProfile does
+        queue.addObserver(&profiler);
         profiler.beginRun(&queue);
         queue.schedule([] { spin(); }, 1, Event::prio_default, "rep.work");
         queue.run();
@@ -268,7 +280,7 @@ TEST(Profiler, AggregatesAccumulateAcrossRunsAndResetClears)
     EXPECT_EQ(profiler.events(), 0u);
     EXPECT_EQ(profiler.wallNs(), 0u);
     EXPECT_EQ(profiler.queuePushes(), 0u);
-    EXPECT_EQ(profiler.lambdaEventAllocs(), 0u);
+    EXPECT_EQ(profiler.heapAllocs(), 0u);
     EXPECT_TRUE(profiler.hotspots().empty());
     EXPECT_EQ(profiler.sliceCount(), 0u);
     EXPECT_EQ(profiler.eventsPerSec(), 0.0);

@@ -5,7 +5,8 @@
  * contract), so host profiling must neither perturb parallel results
  * nor tangle attribution across lanes. Runs under TSan via the
  * threadsafe ctest label - the only cross-thread profiler state is
- * common::AllocCounters, which is atomic and documented as coarse.
+ * the heap-allocation count (common::heapAllocations()), which is
+ * atomic and documented as coarse.
  */
 
 #include <gtest/gtest.h>
@@ -78,8 +79,9 @@ TEST(ProfilerThread, PerShardProfilersUnderParallelSweep)
         // Each shard's profiler observed exactly its own queue: the
         // event count matches the result's even when lanes overlap.
         EXPECT_EQ(profilers[i]->events(), results[i].events_processed);
-        if (results[i].events_processed > 0)
+        if (results[i].events_processed > 0) {
             EXPECT_FALSE(profilers[i]->hotspots().empty());
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Self-tests for fp_lint.py: every rule's positive and negative cases,
-plus waiver parsing. Pure stdlib unittest, registered with ctest as
+waiver parsing, and the lexer edge cases of the fp_cpplex scrubber
+underneath. Pure stdlib unittest, registered with ctest as
 `fp_lint_selftest` so a rule regression fails tier-1 the same way a
 simulator regression does.
 
@@ -21,6 +22,7 @@ _SPEC = importlib.util.spec_from_file_location(
                  "fp_lint.py"))
 fp_lint = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(fp_lint)
+fp_cpplex = fp_lint.fp_cpplex
 
 
 class LintCase(unittest.TestCase):
@@ -238,6 +240,61 @@ class LexerNoiseTest(LintCase):
         found = self.lint("a.cc", (
             "/* setup */ int x = rand();\n"))
         self.assertEqual(found, [("unseeded-rng", 1)])
+
+
+class ScrubTest(unittest.TestCase):
+    """fp_cpplex.scrub() / project_includes() edge cases the line
+    rules depend on."""
+
+    scrub = staticmethod(fp_cpplex.scrub)
+
+    def test_block_comment_blanked_in_place(self):
+        self.assertEqual(self.scrub("int a; /* int b; */ int c;"),
+                         ["int a; " + " " * 12 + " int c;"])
+
+    def test_raw_string_collapses_to_empty_literal(self):
+        text = 'auto s = R"js({"new": 1})js"; new X;'
+        [line] = self.scrub(text)
+        self.assertEqual(len(line), len(text))
+        self.assertTrue(line.startswith('auto s = ""'))
+        # The "new" inside the raw string must not leak out as code.
+        self.assertEqual(line.count("new"), 1)
+        self.assertTrue(line.endswith("; new X;"))
+
+    def test_digit_separator_is_not_char_literal(self):
+        self.assertEqual(self.scrub("x = 1'000'000; c = 'a';"),
+                         ["x = 1'000'000; c = '' ;"])
+
+    def test_scrub_preserves_line_count_and_waivers(self):
+        text = ("int a; /* multi\n"
+                "line */ int b;\n"
+                "// fp-lint: allow(wall-clock) reason\n"
+                "// ordinary comment\n")
+        lines = self.scrub(text)
+        self.assertEqual(len(lines), text.count("\n") + 1)
+        self.assertIn("fp-lint: allow(wall-clock) reason", lines[2])
+        self.assertNotIn("ordinary", lines[3])
+        self.assertEqual(lines[1].strip(), "int b;")
+
+    def test_preprocessor_continuation(self):
+        text = ('#define M(x) \\\n'
+                '    call("a // b", x)\n'
+                "int y; // tail\n")
+        lines = self.scrub(text)
+        # The continued line is still preprocessor text, left verbatim;
+        # code resumes on the line after it.
+        self.assertEqual(lines[1], '    call("a // b", x)')
+        self.assertEqual(lines[2].rstrip(), "int y;")
+
+    def test_project_includes(self):
+        text = ('#include "common/types.hh"\n'
+                "#include <vector>\n"
+                '#  include "gpu/port.hh"\n'
+                '#define INC \\\n'
+                '#include "not/an/include.hh"\n'
+                '// #include "commented.hh"\n')
+        self.assertEqual(fp_cpplex.project_includes(text),
+                         ["common/types.hh", "gpu/port.hh"])
 
 
 class RawConcurrencyTest(LintCase):

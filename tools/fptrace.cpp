@@ -661,9 +661,8 @@ printProfileReport(const obs::Profiler &profiler, std::size_t top_n)
               << profiler.queuePops() << " pops, "
               << profiler.queueStaleDrops() << " stale drops, peak depth "
               << profiler.queuePeakDepth() << "\n"
-              << "alloc:      " << profiler.lambdaEventAllocs()
-              << " lambda events, " << profiler.wireMessageAllocs()
-              << " wire messages\n";
+              << "alloc:      " << profiler.heapAllocs()
+              << " heap allocations\n";
 
     common::Table table("top host-time consumers (self time)");
     table.setHeader({"label", "count", "self ms", "self %", "total ms",
