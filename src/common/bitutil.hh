@@ -67,6 +67,21 @@ bits(std::uint64_t value, unsigned hi, unsigned lo)
     return (value & mask) >> lo;
 }
 
+/**
+ * Number of set bits in @p value: a branch-free SWAR count that
+ * inlines. The baseline x86-64 target has no popcnt instruction, so
+ * std::popcount compiles to a library call there.
+ */
+constexpr unsigned
+popcount64(std::uint64_t value)
+{
+    value -= (value >> 1) & 0x5555555555555555ull;
+    value = (value & 0x3333333333333333ull) +
+            ((value >> 2) & 0x3333333333333333ull);
+    value = (value + (value >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    return static_cast<unsigned>((value * 0x0101010101010101ull) >> 56);
+}
+
 /** A mask with the low @p n bits set. */
 constexpr std::uint64_t
 mask(unsigned n)

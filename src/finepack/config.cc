@@ -20,6 +20,9 @@ FinePackConfig::validate() const
         fp_fatal("queue must have at least one entry");
     if (!common::isPowerOfTwo(entry_bytes))
         fp_fatal("entry size must be a power of two");
+    if (entry_bytes > max_entry_bytes)
+        fp_fatal("entry size ", entry_bytes, " exceeds the ",
+                 max_entry_bytes, " B line and byte-enable width");
     if (windows_per_partition == 0)
         fp_fatal("at least one window per partition is required");
     if (queue_entries % windows_per_partition != 0)

@@ -14,6 +14,12 @@
 namespace fp::finepack {
 
 /**
+ * The widest remote write queue entry: one 128 B cache line, the width
+ * of an entry's inline data and of its byte-enable mask.
+ */
+inline constexpr std::uint32_t max_entry_bytes = 128;
+
+/**
  * Parameters of one FinePack deployment.
  *
  * The sub-transaction header always reserves 10 bits for the payload
@@ -31,7 +37,10 @@ struct FinePackConfig
     std::uint32_t max_payload = 4096;
     /** Remote write queue entries per destination partition. */
     std::uint32_t queue_entries = 64;
-    /** Data bytes per remote write queue entry (one cache line). */
+    /**
+     * Data bytes per remote write queue entry (one cache line, at most
+     * max_entry_bytes).
+     */
     std::uint32_t entry_bytes = 128;
     /**
      * Concurrently open outer transactions (base+offset windows) per

@@ -13,16 +13,19 @@ Packetizer::packetize(const FlushedPartition &flushed) const
 
     FinePackTransaction txn(_src, flushed.dst, flushed.window_base,
                             _config);
-    txn.reserve(flushed.entries.size());
+    std::size_t runs = 0;
+    for (const QueueEntry &entry : flushed.entries)
+        runs += entry.runCount();
+    txn.reserve(runs);
     for (const QueueEntry &entry : flushed.entries) {
-        for (const auto &[start, len] : entry.runs()) {
+        entry.forEachRun([&](std::uint32_t start, std::uint32_t len) {
             std::vector<std::uint8_t> data;
             if (entry.has_data) {
                 data.assign(entry.data.begin() + start,
                             entry.data.begin() + start + len);
             }
             txn.append(entry.line_addr + start, len, std::move(data));
-        }
+        });
     }
 
     // Byte conservation across packetization: every enabled byte of

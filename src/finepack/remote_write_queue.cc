@@ -1,6 +1,8 @@
 #include "finepack/remote_write_queue.hh"
 
 #include <algorithm>
+#include <cstring>
+#include <numeric>
 
 #include "check/invariant.hh"
 #include "common/bitutil.hh"
@@ -23,58 +25,76 @@ toString(FlushReason reason)
     return "?";
 }
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>>
-QueueEntry::runs() const
+namespace {
+
+/** The two mask words of the byte range [start, start + len). */
+std::array<std::uint64_t, 2>
+rangeWords(std::uint32_t start, std::uint32_t len)
 {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> result;
-    std::uint32_t i = 0;
-    const auto line = static_cast<std::uint32_t>(mask.size());
-    while (i < line) {
-        if (!mask.test(i)) {
-            ++i;
-            continue;
-        }
-        std::uint32_t start = i;
-        while (i < line && mask.test(i))
-            ++i;
-        result.emplace_back(start, i - start);
-    }
-    return result;
+    const std::uint32_t end = start + len;
+    auto below = [](std::uint32_t bit, std::uint32_t word) {
+        return bit >= word * 64 + 64 ? ~std::uint64_t{0}
+               : bit > word * 64     ? common::mask(bit - word * 64)
+                                     : std::uint64_t{0};
+    };
+    return {below(end, 0) & ~below(start, 0),
+            below(end, 1) & ~below(start, 1)};
 }
 
-std::uint64_t
-QueueEntry::packedCost(const FinePackConfig &config) const
+} // namespace
+
+std::uint32_t
+ByteMask::setRange(std::uint32_t start, std::uint32_t len)
 {
-    // Direct bitset walk rather than runs(): this accounting runs per
-    // buffered store (twice on a queue hit), so it must not build a
-    // run vector the way the flush-time paths do.
-    std::uint64_t cost = 0;
-    std::uint32_t i = 0;
-    const auto line = static_cast<std::uint32_t>(mask.size());
-    while (i < line) {
-        if (!mask.test(i)) {
-            ++i;
-            continue;
-        }
-        std::uint32_t start = i;
-        while (i < line && mask.test(i))
-            ++i;
-        cost += config.subheader_bytes + (i - start);
-    }
-    return cost;
+    fp_assert(len > 0 && start + len <= size(), "byte range [", start,
+              ", ", start + len, ") outside the line");
+    const auto bits = rangeWords(start, len);
+    std::uint32_t already = common::popcount64(_words[0] & bits[0]) +
+                            common::popcount64(_words[1] & bits[1]);
+    _words[0] |= bits[0];
+    _words[1] |= bits[1];
+    return already;
+}
+
+bool
+ByteMask::anyInRange(std::uint32_t start, std::uint32_t len) const
+{
+    fp_assert(start + len <= size(), "byte range [", start, ", ",
+              start + len, ") outside the line");
+    const auto bits = rangeWords(start, len);
+    return ((_words[0] & bits[0]) | (_words[1] & bits[1])) != 0;
 }
 
 std::pair<std::uint32_t, std::uint32_t>
-QueueEntry::writtenSpan() const
+ByteMask::span() const
 {
-    const auto line = static_cast<std::uint32_t>(mask.size());
-    std::uint32_t first = 0;
-    while (first < line && !mask.test(first))
-        ++first;
-    std::uint32_t last = line;
-    while (last > first && !mask.test(last - 1))
-        --last;
+    if (none())
+        return {0, 0};
+    std::uint32_t first =
+        _words[0] ? static_cast<std::uint32_t>(std::countr_zero(_words[0]))
+                  : 64 + static_cast<std::uint32_t>(
+                             std::countr_zero(_words[1]));
+    std::uint32_t last =
+        _words[1] ? 128 - static_cast<std::uint32_t>(
+                              std::countl_zero(_words[1]))
+                  : 64 - static_cast<std::uint32_t>(
+                             std::countl_zero(_words[0]));
     return {first, last};
+}
+
+std::uint32_t
+QueueEntry::write(std::uint32_t offset, std::uint32_t size,
+                  const std::uint8_t *bytes)
+{
+    std::uint32_t overwritten = mask.setRange(offset, size);
+    if (bytes) {
+        if (!has_data) {
+            data.fill(0);
+            has_data = true;
+        }
+        std::memcpy(data.data() + offset, bytes, size);
+    }
+    return overwritten;
 }
 
 // ---------------------------------------------------------------------
@@ -85,9 +105,25 @@ RwqWindow::RwqWindow(const FinePackConfig &config,
                      std::uint32_t entry_budget)
     : _config(config),
       _entry_budget(entry_budget),
-      _available_payload(config.max_payload)
+      _available_payload(config.max_payload),
+      _slots(entry_budget),
+      _tags(entry_budget, invalid_addr)
 {
     fp_assert(entry_budget > 0, "window needs at least one entry");
+    fp_assert(config.entry_bytes <= max_entry_bytes,
+              "entry size exceeds the inline line");
+    _order.reserve(entry_budget);
+}
+
+std::uint32_t
+RwqWindow::find(Addr line) const
+{
+    if (_last_hit < _used && _tags[_last_hit] == line)
+        return _last_hit;
+    for (std::uint32_t i = 0; i < _used; ++i)
+        if (_tags[i] == line)
+            return i;
+    return no_slot;
 }
 
 Addr
@@ -134,8 +170,9 @@ bool
 RwqWindow::entryBound(const icn::Store &store) const
 {
     // SRAM capacity: a miss needs a free entry.
-    Addr line = common::alignDown(store.addr, _config.entry_bytes);
-    return !_lookup.count(line) && _entries.size() >= _entry_budget;
+    return _used >= _entry_budget &&
+           find(common::alignDown(store.addr, _config.entry_bytes)) ==
+               no_slot;
 }
 
 RwqWindow::InsertOutcome
@@ -148,16 +185,13 @@ RwqWindow::insert(const icn::Store &store)
     // one outer transaction (checking builds walk every entry).
     auto payload_accounted = [this]() {
         std::uint64_t cost = 0;
-        for (const QueueEntry &entry : _entries)
-            cost += entry.packedCost(_config);
+        for (std::uint32_t i = 0; i < _used; ++i)
+            cost += _slots[i].packedCost(_config);
         return cost + _available_payload == _config.max_payload;
     };
-    const std::size_t entries_before = _entries.size();
-    const bool was_hit =
-        _lookup.count(common::alignDown(store.addr, _config.entry_bytes)) >
-        0;
+    const std::uint32_t entries_before = _used;
 
-    if (_entries.empty()) {
+    if (_used == 0) {
         // First store of a fresh window: the base address register
         // takes the store's address right-shifted by the offset width.
         _base_register = store.addr >> _config.offsetBits();
@@ -167,25 +201,20 @@ RwqWindow::insert(const icn::Store &store)
 
     Addr line = common::alignDown(store.addr, _config.entry_bytes);
     auto offset_in_line = static_cast<std::uint32_t>(store.addr - line);
+    const std::uint8_t *bytes =
+        store.data.empty() ? nullptr : store.data.data();
 
-    auto it = _lookup.find(line);
-    if (it != _lookup.end()) {
+    std::uint32_t slot = find(line);
+    const bool was_hit = slot != no_slot;
+    if (was_hit) {
         // Queue hit: OR the byte mask and overwrite the data in place.
         ++_queue_hits;
         outcome.queue_hit = true;
-        QueueEntry &entry = _entries[it->second];
+        QueueEntry &entry = _slots[slot];
         std::uint64_t cost_before = entry.packedCost(_config);
-
-        for (std::uint32_t i = 0; i < store.size; ++i) {
-            if (entry.mask.test(offset_in_line + i)) {
-                ++_bytes_elided;
-                ++outcome.overwritten_bytes;
-            }
-            entry.mask.set(offset_in_line + i);
-            if (!store.data.empty())
-                entry.data[offset_in_line + i] = store.data[i];
-        }
-        entry.has_data |= !store.data.empty();
+        outcome.overwritten_bytes =
+            entry.write(offset_in_line, store.size, bytes);
+        _bytes_elided += outcome.overwritten_bytes;
 
         std::uint64_t cost_after = entry.packedCost(_config);
         // Merging can only keep or reduce the packed cost relative to
@@ -199,25 +228,22 @@ RwqWindow::insert(const icn::Store &store)
             _available_payload += cost_before - cost_after;
         }
     } else {
-        // Miss: allocate a fresh entry.
-        fp_assert(_entries.size() < _entry_budget,
+        // Miss: claim the next free slot and retag it.
+        fp_assert(_used < _entry_budget,
                   "entry allocation without free space");
-        QueueEntry entry;
+        slot = _used++;
+        _tags[slot] = line;
+        QueueEntry &entry = _slots[slot];
         entry.line_addr = line;
-        entry.data.assign(_config.entry_bytes, 0);
-        entry.has_data = !store.data.empty();
-        for (std::uint32_t i = 0; i < store.size; ++i) {
-            entry.mask.set(offset_in_line + i);
-            if (!store.data.empty())
-                entry.data[offset_in_line + i] = store.data[i];
-        }
+        entry.mask.reset();
+        entry.has_data = false;
+        entry.write(offset_in_line, store.size, bytes);
         std::uint64_t cost = entry.packedCost(_config);
         fp_assert(cost <= _available_payload,
                   "new entry cost exceeded the checked budget");
         _available_payload -= cost;
-        _lookup[line] = _entries.size();
-        _entries.push_back(std::move(entry));
     }
+    _last_hit = slot;
     ++_buffered_stores;
 
     FP_INVARIANT(payload_accounted(), "rwq-payload-accounting",
@@ -228,12 +254,12 @@ RwqWindow::insert(const icn::Store &store)
                  "store addr=", store.addr, " size=", store.size,
                  " escapes the ", _config.offsetBits(),
                  "-bit offset window [", windowLo(), ", ", windowHi(), ")");
-    FP_INVARIANT(!was_hit || _entries.size() == entries_before,
+    FP_INVARIANT(!was_hit || _used == entries_before,
                  "rwq-overwrite-in-place",
                  "a queue hit grew the entry count from ", entries_before,
-                 " to ", _entries.size());
-    FP_INVARIANT(_entries.size() <= _entry_budget, "rwq-entry-budget",
-                 "entry count ", _entries.size(), " exceeds the budget ",
+                 " to ", _used);
+    FP_INVARIANT(_used <= _entry_budget, "rwq-entry-budget",
+                 "entry count ", _used, " exceeds the budget ",
                  _entry_budget);
     return outcome;
 }
@@ -241,23 +267,21 @@ RwqWindow::insert(const icn::Store &store)
 bool
 RwqWindow::conflicts(Addr addr, std::uint32_t size) const
 {
-    if (_entries.empty())
+    if (_used == 0)
         return false;
     Addr line_lo = common::alignDown(addr, _config.entry_bytes);
     Addr line_hi = common::alignDown(addr + size - 1, _config.entry_bytes);
     for (Addr line = line_lo; line <= line_hi;
          line += _config.entry_bytes) {
-        auto it = _lookup.find(line);
-        if (it == _lookup.end())
+        std::uint32_t slot = find(line);
+        if (slot == no_slot)
             continue;
-        const QueueEntry &entry = _entries[it->second];
         std::uint32_t lo =
             addr > line ? static_cast<std::uint32_t>(addr - line) : 0;
         std::uint32_t hi = static_cast<std::uint32_t>(
             std::min<Addr>(addr + size - line, _config.entry_bytes));
-        for (std::uint32_t i = lo; i < hi; ++i)
-            if (entry.mask.test(i))
-                return true;
+        if (_slots[slot].mask.anyInRange(lo, hi - lo))
+            return true;
     }
     return false;
 }
@@ -271,18 +295,22 @@ RwqWindow::take(GpuId dst)
         _base_register == invalid_addr
             ? 0
             : (_base_register << _config.offsetBits());
-    result.entries = std::move(_entries);
     result.packed_store_count = _buffered_stores;
 
-    // Sort entries by address so the packetized sub-packets appear in
-    // ascending offset order (deterministic output).
-    std::sort(result.entries.begin(), result.entries.end(),
-              [](const QueueEntry &a, const QueueEntry &b) {
-                  return a.line_addr < b.line_addr;
+    // Entries leave sorted by address so the packetized sub-packets
+    // appear in ascending offset order (deterministic output).
+    _order.resize(_used);
+    std::iota(_order.begin(), _order.end(), 0u);
+    std::sort(_order.begin(), _order.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                  return _tags[a] < _tags[b];
               });
+    result.entries.reserve(_used);
+    for (std::uint32_t slot : _order)
+        result.entries.push_back(_slots[slot]);
 
-    _entries.clear();
-    _lookup.clear();
+    _used = 0;
+    _last_hit = 0;
     _base_register = invalid_addr;
     _available_payload = _config.max_payload;
     _buffered_stores = 0;
@@ -308,6 +336,8 @@ RwqPartition::RwqPartition(GpuId dst, const FinePackConfig &config)
 void
 RwqPartition::touch(std::uint32_t index)
 {
+    if (_lru.back() == index)
+        return;
     auto it = std::find(_lru.begin(), _lru.end(), index);
     fp_assert(it != _lru.end(), "window missing from LRU order");
     _lru.erase(it);

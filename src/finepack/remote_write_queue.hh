@@ -20,12 +20,14 @@
 #ifndef FP_FINEPACK_REMOTE_WRITE_QUEUE_HH
 #define FP_FINEPACK_REMOTE_WRITE_QUEUE_HH
 
-#include <bitset>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/bitutil.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "finepack/config.hh"
@@ -38,37 +40,176 @@ class EventQueue;
 
 namespace fp::finepack {
 
-/** One 128 B line buffered in a remote write queue window. */
+/**
+ * The per-byte write enables of one line, held as the two 64-bit words
+ * of a 128-bit SRAM row: byte i of the line is bit i % 64 of word
+ * i / 64. Every query works on whole words (popcount, count-trailing /
+ * count-leading zeros), never bit by bit.
+ */
+class ByteMask
+{
+  public:
+    /** Bits in the mask: the widest line an entry holds. */
+    static constexpr std::uint32_t size() { return max_entry_bytes; }
+
+    bool
+    test(std::uint32_t i) const
+    {
+        return (_words[i >> 6] >> (i & 63)) & 1;
+    }
+
+    void
+    set(std::uint32_t i)
+    {
+        _words[i >> 6] |= std::uint64_t{1} << (i & 63);
+    }
+
+    /** Clear every enable (a slot handed to a new line). */
+    void reset() { _words = {}; }
+
+    /**
+     * Enable bytes [start, start + len), 1 <= len, start + len <=
+     * size(). @return how many of them were already enabled.
+     */
+    std::uint32_t setRange(std::uint32_t start, std::uint32_t len);
+
+    /** Is any byte of [start, start + len) enabled? */
+    bool anyInRange(std::uint32_t start, std::uint32_t len) const;
+
+    /** Number of enabled bytes. */
+    std::uint32_t
+    count() const
+    {
+        return common::popcount64(_words[0]) +
+               common::popcount64(_words[1]);
+    }
+
+    bool none() const { return (_words[0] | _words[1]) == 0; }
+
+    /**
+     * Number of maximal enabled runs: the enabled bytes whose lower
+     * neighbour is disabled (the carry from word 0's top bit joins a
+     * run that crosses byte 63/64).
+     */
+    std::uint32_t
+    runCount() const
+    {
+        std::uint64_t starts0 = _words[0] & ~(_words[0] << 1);
+        std::uint64_t starts1 =
+            _words[1] & ~((_words[1] << 1) | (_words[0] >> 63));
+        return common::popcount64(starts0) + common::popcount64(starts1);
+    }
+
+    /**
+     * Call @p fn(start, length) for every maximal enabled run, in
+     * ascending byte order.
+     */
+    template <typename Fn>
+    void
+    forEachRun(Fn &&fn) const
+    {
+        std::uint32_t start = find(0, true);
+        while (start < size()) {
+            std::uint32_t end = find(start, false);
+            fn(start, end - start);
+            start = find(end, true);
+        }
+    }
+
+    /**
+     * [first, last) span from the first enabled byte to one past the
+     * last; (0, 0) for an empty mask.
+     */
+    std::pair<std::uint32_t, std::uint32_t> span() const;
+
+    std::uint64_t word(std::uint32_t i) const { return _words[i]; }
+
+  private:
+    /**
+     * First byte at or after @p from whose enable equals @p enabled;
+     * size() when there is none.
+     */
+    std::uint32_t
+    find(std::uint32_t from, bool enabled) const
+    {
+        for (std::uint32_t w = from >> 6; w < _words.size(); ++w) {
+            std::uint64_t bits = enabled ? _words[w] : ~_words[w];
+            if (w == from >> 6)
+                bits &= ~std::uint64_t{0} << (from & 63);
+            if (bits)
+                return w * 64 +
+                       static_cast<std::uint32_t>(std::countr_zero(bits));
+        }
+        return size();
+    }
+
+    std::array<std::uint64_t, 2> _words{};
+};
+
+/**
+ * One line buffered in a remote write queue window: an SRAM row of
+ * address tag, inline line data and byte enables. It owns no heap
+ * memory, so a window's slots are allocated once and recycled.
+ */
 struct QueueEntry
 {
     /** Line-aligned tag address (device-local, destination GPU). */
     Addr line_addr = 0;
-    /** Line data; only bytes with their enable set are meaningful. */
-    std::vector<std::uint8_t> data;
+    /**
+     * Line data; only bytes with their enable set are meaningful, and
+     * only when has_data is set.
+     */
+    std::array<std::uint8_t, max_entry_bytes> data{};
     /** Per-byte write enables. */
-    std::bitset<128> mask;
+    ByteMask mask;
     /** True when at least one merged store carried payload bytes. */
     bool has_data = false;
 
     /**
-     * The packed cost of this entry in a FinePack payload: one
-     * sub-header plus the run length for every contiguous enabled run.
+     * Merge a store of @p size bytes at line offset @p offset. @p bytes
+     * is its payload, or nullptr for a timing-only store. The first
+     * payload-carrying store zeroes the line, so bytes enabled by
+     * timing-only stores read as zero, never as a previous occupant's
+     * data. @return the bytes whose enable was already set
+     * (overwritten in place).
      */
-    std::uint64_t packedCost(const FinePackConfig &config) const;
+    std::uint32_t write(std::uint32_t offset, std::uint32_t size,
+                        const std::uint8_t *bytes);
 
-    /** Contiguous enabled-byte runs as (start byte, length) pairs. */
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> runs() const;
+    /**
+     * The packed cost of this entry in a FinePack payload: one
+     * sub-header per contiguous enabled run plus every enabled byte.
+     */
+    std::uint64_t
+    packedCost(const FinePackConfig &config) const
+    {
+        return mask.count() +
+               std::uint64_t{config.subheader_bytes} * mask.runCount();
+    }
+
+    /** Number of contiguous enabled runs (sub-packets at packetize). */
+    std::uint32_t runCount() const { return mask.runCount(); }
+
+    /** Call @p fn(start byte, length) for every run, ascending. */
+    template <typename Fn>
+    void
+    forEachRun(Fn &&fn) const
+    {
+        mask.forEachRun(std::forward<Fn>(fn));
+    }
 
     /**
      * [first, last) written-byte span of the line (first enabled byte
-     * to one past the last). Unlike runs(), allocates nothing; (0, 0)
-     * for an empty mask.
+     * to one past the last); (0, 0) for an empty mask.
      */
-    std::pair<std::uint32_t, std::uint32_t> writtenSpan() const;
+    std::pair<std::uint32_t, std::uint32_t>
+    writtenSpan() const
+    {
+        return mask.span();
+    }
 
     /** Number of enabled bytes. */
-    std::uint32_t validBytes() const
-    { return static_cast<std::uint32_t>(mask.count()); }
+    std::uint32_t validBytes() const { return mask.count(); }
 };
 
 /** Why a window was flushed (for statistics / Figure analysis). */
@@ -111,8 +252,8 @@ class RwqWindow
   public:
     RwqWindow(const FinePackConfig &config, std::uint32_t entry_budget);
 
-    bool empty() const { return _entries.empty(); }
-    std::size_t entryCount() const { return _entries.size(); }
+    bool empty() const { return _used == 0; }
+    std::size_t entryCount() const { return _used; }
     std::uint64_t bufferedStores() const { return _buffered_stores; }
 
     /** Base address register; invalid_addr when the window is empty. */
@@ -154,7 +295,10 @@ class RwqWindow
     /** Does any buffered byte overlap [addr, addr+size)? */
     bool conflicts(Addr addr, std::uint32_t size) const;
 
-    /** Remove and return everything buffered (entries sorted). */
+    /**
+     * Copy out everything buffered, sorted by line address, and free
+     * every slot. One allocation: the returned entries.
+     */
     FlushedPartition take(GpuId dst);
 
     /** Lifetime statistics. */
@@ -162,6 +306,11 @@ class RwqWindow
     std::uint64_t bytesElided() const { return _bytes_elided; }
 
   private:
+    static constexpr std::uint32_t no_slot = ~std::uint32_t{0};
+
+    /** The slot tagged @p line, or no_slot; probes the last hit first. */
+    std::uint32_t find(Addr line) const;
+
     FinePackConfig _config;
     std::uint32_t _entry_budget;
 
@@ -169,9 +318,18 @@ class RwqWindow
     std::uint64_t _available_payload;
     std::uint64_t _buffered_stores = 0;
 
-    std::vector<QueueEntry> _entries;
-    /** Associative lookup: line address -> index into _entries. */
-    std::unordered_map<Addr, std::size_t> _lookup;
+    /**
+     * The window's SRAM, allocated once: _entry_budget line slots, of
+     * which the first _used hold lines. _tags[i] is slot i's line
+     * address, kept apart so a lookup scans 8 B per slot.
+     */
+    std::vector<QueueEntry> _slots;
+    std::vector<Addr> _tags;
+    std::uint32_t _used = 0;
+    /** The slot the last insert wrote (the first one find() probes). */
+    std::uint32_t _last_hit = 0;
+    /** take()'s sort scratch: slot indices in line-address order. */
+    std::vector<std::uint32_t> _order;
 
     std::uint64_t _queue_hits = 0;
     std::uint64_t _bytes_elided = 0;

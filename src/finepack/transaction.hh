@@ -49,7 +49,7 @@ class FinePackTransaction
     void append(Addr addr, std::uint32_t length,
                 std::vector<std::uint8_t> data = {});
 
-    /** Pre-size the sub-packet vector (>= one sub-packet per entry). */
+    /** Pre-size the sub-packet vector for @p n sub-packets. */
     void reserve(std::size_t n) { _subs.reserve(n); }
 
     GpuId src() const { return _src; }

@@ -14,6 +14,8 @@ WriteCombineBuffer::WriteCombineBuffer(GpuId src, GpuId dst,
 {
     fp_assert(num_lines > 0, "write-combine buffer needs capacity");
     fp_assert(common::isPowerOfTwo(line_bytes), "line size power of two");
+    fp_assert(line_bytes <= max_entry_bytes,
+              "line size exceeds the inline entry");
 }
 
 std::optional<WcLine>
@@ -46,7 +48,6 @@ WriteCombineBuffer::push(const icn::Store &store)
         }
         WcLine line;
         line.entry.line_addr = line_addr;
-        line.entry.data.assign(_line_bytes, 0);
         _lru.push_front(line_addr);
         it = _lines.emplace(line_addr, Slot{std::move(line), _lru.begin()})
                  .first;
@@ -58,15 +59,8 @@ WriteCombineBuffer::push(const icn::Store &store)
     }
 
     Slot &slot = it->second;
-    QueueEntry &entry = slot.line.entry;
-    for (std::uint32_t i = 0; i < store.size; ++i) {
-        if (entry.mask.test(offset + i))
-            ++_bytes_elided;
-        entry.mask.set(offset + i);
-        if (!store.data.empty())
-            entry.data[offset + i] = store.data[i];
-    }
-    entry.has_data |= !store.data.empty();
+    _bytes_elided += slot.line.entry.write(
+        offset, store.size, store.data.empty() ? nullptr : store.data.data());
     ++slot.line.folded;
 
     return evicted;
@@ -108,14 +102,16 @@ WriteCombineBuffer::lineToMessage(const WcLine &line,
     // The wire carries the whole line, but only the written bytes are
     // semantically delivered (the receiver applies byte enables); emit
     // one store per contiguous run so functional state stays correct.
-    for (const auto &[start, len] : line.entry.runs()) {
-        icn::Store store(line.entry.line_addr + start, len, _src, _dst);
-        if (line.entry.has_data) {
-            store.data.assign(line.entry.data.begin() + start,
-                              line.entry.data.begin() + start + len);
+    const QueueEntry &entry = line.entry;
+    msg->stores.reserve(entry.runCount());
+    entry.forEachRun([&](std::uint32_t start, std::uint32_t len) {
+        icn::Store store(entry.line_addr + start, len, _src, _dst);
+        if (entry.has_data) {
+            store.data.assign(entry.data.begin() + start,
+                              entry.data.begin() + start + len);
         }
         msg->stores.push_back(std::move(store));
-    }
+    });
     return msg;
 }
 

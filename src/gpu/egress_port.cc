@@ -78,11 +78,23 @@ EgressPort::issueStore(const icn::Store &store)
     fp_assert(store.size > 0, "zero-size store");
     common::AccessRecorder(eventQueue()).write(this, name().c_str());
 
+    auto issue = [this](const icn::Store &piece) {
+        if (piece.is_atomic)
+            issueAtomic(piece);
+        else
+            issueAligned(piece);
+    };
+    const std::uint32_t line = _config.entry_bytes;
+    if (common::alignDown(store.begin(), line) ==
+        common::alignDown(store.end() - 1, line)) {
+        issue(store);
+        return;
+    }
+
     // Split accesses that cross cache-line boundaries; the L1 coalescer
     // normally guarantees this, but the public API tolerates any store.
     Addr begin = store.begin();
     Addr end = store.end();
-    const std::uint32_t line = _config.entry_bytes;
     while (begin < end) {
         Addr piece_end =
             std::min<Addr>(end, common::alignDown(begin, line) + line);
@@ -94,10 +106,7 @@ EgressPort::issueStore(const icn::Store &store)
             piece.data.assign(store.data.begin() + off,
                               store.data.begin() + off + piece.size);
         }
-        if (piece.is_atomic)
-            issueAtomic(piece);
-        else
-            issueAligned(piece);
+        issue(piece);
         begin = piece_end;
     }
 }

@@ -67,6 +67,20 @@ TEST(FinePackConfigTest, ValidationRejectsBadGeometry)
     EXPECT_THROW(config.validate(), common::SimError);
 }
 
+TEST(FinePackConfigTest, ValidationRejectsEntriesWiderThanALine)
+{
+    // An entry's inline data and byte-enable mask are one 128 B line.
+    FinePackConfig config = defaultConfig();
+    config.entry_bytes = 256;
+    config.length_bits = 10;
+    EXPECT_THROW(config.validate(), common::SimError);
+
+    config.entry_bytes = max_entry_bytes;
+    EXPECT_NO_THROW(config.validate());
+    config.entry_bytes = 64;
+    EXPECT_NO_THROW(config.validate());
+}
+
 TEST(FinePackConfigTest, TableIIIStorageFootprint)
 {
     // 4-GPU system: 3 partitions x 64 entries x 128 B = 24 KiB data per

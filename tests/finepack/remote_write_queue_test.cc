@@ -100,7 +100,7 @@ TEST(RwqPartitionTest, ByteMasksOrTogether)
     EXPECT_TRUE(entry.mask.test(3));
     EXPECT_FALSE(entry.mask.test(4));
     EXPECT_TRUE(entry.mask.test(8));
-    EXPECT_EQ(entry.runs().size(), 2u);
+    EXPECT_EQ(entry.runCount(), 2u);
 }
 
 TEST(RwqPartitionTest, AdjacentStoresMergeRunsAndReclaimBudget)
@@ -118,7 +118,7 @@ TEST(RwqPartitionTest, AdjacentStoresMergeRunsAndReclaimBudget)
     EXPECT_EQ(after, before + config.subheader_bytes - 4);
 
     FlushedPartition flushed = partition.flush(FlushReason::release);
-    EXPECT_EQ(flushed.entries[0].runs().size(), 1u);
+    EXPECT_EQ(flushed.entries[0].runCount(), 1u);
     EXPECT_EQ(flushed.entries[0].validBytes(), 12u);
 }
 
@@ -353,13 +353,16 @@ TEST(QueueEntryTest, RunExtraction)
 {
     QueueEntry entry;
     entry.line_addr = 0;
-    entry.data.assign(128, 0);
     entry.mask.set(0);
     entry.mask.set(1);
     entry.mask.set(5);
     entry.mask.set(127);
-    auto runs = entry.runs();
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> runs;
+    entry.forEachRun([&runs](std::uint32_t start, std::uint32_t len) {
+        runs.emplace_back(start, len);
+    });
     ASSERT_EQ(runs.size(), 3u);
+    EXPECT_EQ(entry.runCount(), 3u);
     EXPECT_EQ(runs[0], std::make_pair(0u, 2u));
     EXPECT_EQ(runs[1], std::make_pair(5u, 1u));
     EXPECT_EQ(runs[2], std::make_pair(127u, 1u));
@@ -369,7 +372,6 @@ TEST(QueueEntryTest, PackedCostCountsSubheaderPerRun)
 {
     FinePackConfig config = defaultConfig();
     QueueEntry entry;
-    entry.data.assign(128, 0);
     for (int i = 0; i < 8; i += 2)
         entry.mask.set(i * 4); // 4 isolated bytes
     EXPECT_EQ(entry.packedCost(config), 4 * (config.subheader_bytes + 1));

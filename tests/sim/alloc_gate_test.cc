@@ -97,14 +97,14 @@ INSTANTIATE_TEST_SUITE_P(
     PagerankAndSssp, AllocGateTest,
     ::testing::Values(
         GateCase{"pagerank", Paradigm::p2p_stores, 18587},
-        GateCase{"pagerank", Paradigm::finepack, 262940},
-        GateCase{"pagerank", Paradigm::write_combine, 596550},
-        GateCase{"pagerank", Paradigm::gps, 598036},
+        GateCase{"pagerank", Paradigm::finepack, 13330},
+        GateCase{"pagerank", Paradigm::write_combine, 464672},
+        GateCase{"pagerank", Paradigm::gps, 466158},
         GateCase{"pagerank", Paradigm::bulk_dma, 2465},
         GateCase{"sssp", Paradigm::p2p_stores, 42064},
-        GateCase{"sssp", Paradigm::finepack, 527489},
-        GateCase{"sssp", Paradigm::write_combine, 1442756},
-        GateCase{"sssp", Paradigm::gps, 1409125},
+        GateCase{"sssp", Paradigm::finepack, 26771},
+        GateCase{"sssp", Paradigm::write_combine, 1114442},
+        GateCase{"sssp", Paradigm::gps, 1087797},
         GateCase{"sssp", Paradigm::bulk_dma, 3057}),
     [](const ::testing::TestParamInfo<GateCase> &info) {
         std::string name = std::string(info.param.workload) + "_" +
