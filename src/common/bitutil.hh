@@ -7,6 +7,7 @@
 #ifndef FP_COMMON_BITUTIL_HH
 #define FP_COMMON_BITUTIL_HH
 
+#include <array>
 #include <bit>
 #include <cstdint>
 
@@ -87,6 +88,24 @@ constexpr std::uint64_t
 mask(unsigned n)
 {
     return n >= 64 ? ~0ull : (1ull << n) - 1;
+}
+
+/**
+ * The two words of a 128-bit byte mask (one bit per byte of a 128 B
+ * line, bit i of word i / 64) that enable bytes [start, start + len),
+ * start + len <= 128.
+ */
+constexpr std::array<std::uint64_t, 2>
+lineRangeWords(std::uint32_t start, std::uint32_t len)
+{
+    const std::uint32_t end = start + len;
+    auto below = [](std::uint32_t bit, std::uint32_t word) {
+        return bit >= word * 64 + 64 ? ~std::uint64_t{0}
+               : bit > word * 64     ? mask(bit - word * 64)
+                                     : std::uint64_t{0};
+    };
+    return {below(end, 0) & ~below(start, 0),
+            below(end, 1) & ~below(start, 1)};
 }
 
 } // namespace fp::common

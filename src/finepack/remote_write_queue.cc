@@ -25,30 +25,12 @@ toString(FlushReason reason)
     return "?";
 }
 
-namespace {
-
-/** The two mask words of the byte range [start, start + len). */
-std::array<std::uint64_t, 2>
-rangeWords(std::uint32_t start, std::uint32_t len)
-{
-    const std::uint32_t end = start + len;
-    auto below = [](std::uint32_t bit, std::uint32_t word) {
-        return bit >= word * 64 + 64 ? ~std::uint64_t{0}
-               : bit > word * 64     ? common::mask(bit - word * 64)
-                                     : std::uint64_t{0};
-    };
-    return {below(end, 0) & ~below(start, 0),
-            below(end, 1) & ~below(start, 1)};
-}
-
-} // namespace
-
 std::uint32_t
 ByteMask::setRange(std::uint32_t start, std::uint32_t len)
 {
     fp_assert(len > 0 && start + len <= size(), "byte range [", start,
               ", ", start + len, ") outside the line");
-    const auto bits = rangeWords(start, len);
+    const auto bits = common::lineRangeWords(start, len);
     std::uint32_t already = common::popcount64(_words[0] & bits[0]) +
                             common::popcount64(_words[1] & bits[1]);
     _words[0] |= bits[0];
@@ -61,7 +43,7 @@ ByteMask::anyInRange(std::uint32_t start, std::uint32_t len) const
 {
     fp_assert(start + len <= size(), "byte range [", start, ", ",
               start + len, ") outside the line");
-    const auto bits = rangeWords(start, len);
+    const auto bits = common::lineRangeWords(start, len);
     return ((_words[0] & bits[0]) | (_words[1] & bits[1])) != 0;
 }
 

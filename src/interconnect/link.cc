@@ -127,10 +127,13 @@ Link::transmit(const WireMessagePtr &msg,
         on_transmit();
 
     Tick arrive = _busy_until + _latency;
+    _in_flight.push_back({msg, arrive});
     eventQueue().schedule(
-        [this, msg]() {
+        [this]() {
+            WireMessagePtr next = std::move(_in_flight.front().msg);
+            _in_flight.pop_front();
             if (_deliver)
-                _deliver(msg);
+                _deliver(next);
         },
         arrive, common::Event::prio_arrival, "link.deliver");
 }

@@ -74,6 +74,19 @@ class Link : public common::SimObject
     /** True when nothing is queued or in flight on the wire. */
     bool idle() const { return _busy_until <= curTick(); }
 
+    /**
+     * The message this link delivers next if it arrives at @p tick,
+     * else nullptr. Deliveries leave in transmit order at strictly
+     * increasing ticks, so at most one arrives per tick.
+     */
+    const WireMessage *
+    arrivingAt(Tick tick) const
+    {
+        return !_in_flight.empty() && _in_flight.front().arrive == tick
+                   ? _in_flight.front().msg.get()
+                   : nullptr;
+    }
+
     double bytesPerTick() const { return _bytes_per_tick; }
 
     /** Per-message-kind byte accounting (Figure 10 inputs). */
@@ -146,6 +159,15 @@ class Link : public common::SimObject
     std::uint64_t _credit_limit = 0; // 0 = unlimited
     std::uint64_t _credits_in_use = 0;
     std::deque<Pending> _waiting;
+
+    /** A transmitted message and the tick it reaches the receiver. */
+    struct InFlight
+    {
+        WireMessagePtr msg;
+        Tick arrive = 0;
+    };
+    /** Transmitted, undelivered messages in delivery order. */
+    std::deque<InFlight> _in_flight;
 
     PipelineObserver *_observer = nullptr;
     std::uint32_t _id = 0;

@@ -75,11 +75,14 @@ struct WireMessage
      */
     std::uint64_t seq = 0;
 
+    /** Tick the fabric accepted the message at inject; 0 until then. */
+    Tick injected = 0;
+
     /**
-     * Padding only: a make_shared'ed 96 B message falls in glibc's
+     * Padding only: a make_shared'ed 104 B message falls in glibc's
      * fastbins and replays sssp write-combine 18-25% slower.
      */
-    std::byte alloc_padding[56];
+    std::byte alloc_padding[48];
 
     std::uint64_t wireBytes() const
     { return payload_bytes + header_bytes; }

@@ -1,5 +1,8 @@
 #include "interconnect/topology.hh"
 
+#include <algorithm>
+#include <utility>
+
 namespace fp::icn {
 
 FabricParams
@@ -14,7 +17,7 @@ SwitchedFabric::SwitchedFabric(const std::string &name,
                                common::EventQueue &queue,
                                std::uint32_t num_gpus, FabricParams params)
     : SimObject(name, queue), _num_gpus(num_gpus), _params(params),
-      _ingress(num_gpus)
+      _ingress(num_gpus), _arrivals(num_gpus)
 {
     fp_assert(num_gpus >= 1, "fabric needs at least one GPU");
     for (std::uint32_t g = 0; g < num_gpus; ++g) {
@@ -58,6 +61,7 @@ SwitchedFabric::inject(const WireMessagePtr &msg)
     fp_assert(msg->dst < _num_gpus, "bad destination GPU ", msg->dst);
     fp_assert(msg->src != msg->dst, "message to self on GPU ", msg->src);
     msg->seq = ++_next_seq;
+    msg->injected = curTick();
     if (_observer)
         _observer->messageInjected(*msg, curTick());
     _uplinks[msg->src]->send(msg);
@@ -66,19 +70,39 @@ SwitchedFabric::inject(const WireMessagePtr &msg)
 void
 SwitchedFabric::forward(const WireMessagePtr &msg)
 {
+    // Messages reaching the switch for one downlink in the same tick
+    // leave oldest first, ties by source port, whatever order their
+    // arrival events ran in: each waits until the last of its tick is
+    // in. (seq would not do: same-tick injections from different GPUs
+    // take their seqs in event order.)
+    std::vector<WireMessagePtr> &held = _arrivals[msg->dst];
+    held.push_back(msg);
+    for (const auto &uplink : _uplinks) {
+        const WireMessage *next = uplink->arrivingAt(curTick());
+        if (next && next->dst == msg->dst)
+            return;
+    }
+    std::sort(held.begin(), held.end(),
+              [](const WireMessagePtr &a, const WireMessagePtr &b) {
+                  return std::pair(a->injected, a->src) <
+                         std::pair(b->injected, b->src);
+              });
     // Store-and-forward at the switch: the message re-serializes on the
     // destination's downlink. With flow control enabled, the switch
     // ingress buffer entry frees (uplink credits return) once the
     // downlink starts reading the message out.
-    if (_params.switch_buffer_bytes != 0) {
-        GpuId src = msg->src;
-        std::uint64_t bytes = msg->wireBytes();
-        _downlinks[msg->dst]->send(msg, [this, src, bytes]() {
-            _uplinks[src]->releaseCredits(bytes);
-        });
-    } else {
-        _downlinks[msg->dst]->send(msg);
+    for (const WireMessagePtr &out : held) {
+        if (_params.switch_buffer_bytes != 0) {
+            GpuId src = out->src;
+            std::uint64_t bytes = out->wireBytes();
+            _downlinks[out->dst]->send(out, [this, src, bytes]() {
+                _uplinks[src]->releaseCredits(bytes);
+            });
+        } else {
+            _downlinks[out->dst]->send(out);
+        }
     }
+    held.clear();
 }
 
 Link &

@@ -47,9 +47,11 @@ struct FabricParams
 /**
  * A star fabric connecting @p num_gpus endpoints through one switch.
  *
- * Route: uplink[src] -> (switch latency) -> downlink[dst]. Each endpoint
- * registers an ingress callback invoked when a message fully arrives at
- * its downlink.
+ * Route: uplink[src] -> (switch latency) -> downlink[dst]. Messages
+ * reaching the switch for one downlink in the same tick enter it oldest
+ * first (inject tick, then source GPU), independent of event order. Each
+ * endpoint registers an ingress callback invoked when a message fully
+ * arrives at its downlink.
  */
 class SwitchedFabric : public common::SimObject
 {
@@ -102,6 +104,8 @@ class SwitchedFabric : public common::SimObject
     std::vector<std::unique_ptr<Link>> _uplinks;
     std::vector<std::unique_ptr<Link>> _downlinks;
     std::vector<IngressFn> _ingress;
+    /** Per downlink: this tick's arrivals still waiting for the rest. */
+    std::vector<std::vector<WireMessagePtr>> _arrivals;
     PipelineObserver *_observer = nullptr;
     /** Last WireMessage::seq assigned by inject(). */
     std::uint64_t _next_seq = 0;

@@ -644,7 +644,7 @@ SimulationDriver::runEventDriven(const trace::WorkloadTrace &trace,
     }
     result.wire_bytes = result.payload_bytes + result.header_bytes;
 
-    result.useful_bytes = trace::totalUsefulBytes(trace);
+    result.useful_bytes = trace::summarizeTrace(trace).useful_bytes;
     // Sub-headers, DW padding, and raw-store padding are protocol
     // overhead; unwritten write-combine line bytes and whole-range DMA
     // payloads count as transferred data.

@@ -1,9 +1,11 @@
 #include "trace/trace.hh"
 
 #include <algorithm>
+#include <bit>
 #include <istream>
 #include <ostream>
 
+#include "common/bitutil.hh"
 #include "common/logging.hh"
 
 namespace fp::trace {
@@ -116,43 +118,113 @@ IntervalSet::intervals()
     return _spans;
 }
 
-UpdateSummary
-summarizeUpdates(const IterationWork &iter, GpuId dst)
+namespace {
+
+constexpr unsigned line_shift = 7; // 128 B granules
+constexpr std::uint64_t line_bytes = std::uint64_t{1} << line_shift;
+
+/** Fibonacci hash of (dst, line) onto a table of @p size slots. */
+std::size_t
+slotHash(GpuId dst, Addr line, std::size_t size)
 {
-    IntervalSet updated;
+    const std::uint64_t key = line + std::uint64_t{dst} * 0xc2b2ae3d27d4eb4full;
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >>
+                                    (std::countl_zero(size) + 1));
+}
+
+} // namespace
+
+void
+CoverageLedger::grow()
+{
+    std::vector<Granule> old(_table.size() * 2);
+    old.swap(_table);
+    for (const Granule &g : old)
+        if (g.dst != invalid_gpu)
+            _table[find(g.dst, g.line)] = g;
+}
+
+std::size_t
+CoverageLedger::find(GpuId dst, Addr line) const
+{
+    const std::size_t wrap = _table.size() - 1;
+    std::size_t slot = slotHash(dst, line, _table.size());
+    while (_table[slot].dst != invalid_gpu &&
+           (_table[slot].dst != dst || _table[slot].line != line))
+        slot = (slot + 1) & wrap;
+    return slot;
+}
+
+void
+CoverageLedger::cover(GpuId dst, Addr base, std::uint64_t size, Mask mask)
+{
+    const Addr end = base + size;
+    for (Addr at = base; at < end;) {
+        const Addr line = at >> line_shift;
+        const auto offset = static_cast<std::uint32_t>(at & (line_bytes - 1));
+        const auto len = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(end - at, line_bytes - offset));
+        at += len;
+        Granule *g = &_table[_last];
+        if (g->line != line || g->dst != dst) {
+            if (2 * (_used + 1) > _table.size())
+                grow();
+            _last = find(dst, line);
+            g = &_table[_last];
+            if (g->dst == invalid_gpu) {
+                g->dst = dst;
+                g->line = line;
+                ++_used;
+            }
+        }
+        const auto words = common::lineRangeWords(offset, len);
+        (g->*mask)[0] |= words[0];
+        (g->*mask)[1] |= words[1];
+    }
+}
+
+const std::vector<UpdateSummary> &
+CoverageLedger::summarize(const IterationWork &iter, std::uint32_t num_gpus)
+{
+    std::fill(_table.begin(), _table.end(), Granule{});
+    _used = 0;
+    _summaries.assign(num_gpus, UpdateSummary{});
+
+    const auto consumers = std::min<std::size_t>(iter.consumed.size(),
+                                                 num_gpus);
+    for (GpuId g = 0; g < consumers; ++g)
+        for (const auto &range : iter.consumed[g])
+            cover(g, range.base, range.size, &Granule::consumed);
     for (const auto &gpu : iter.per_gpu)
         for (const auto &store : gpu.remote_stores)
-            if (store.dst == dst)
-                updated.add(store.addr, store.size);
+            if (store.dst < num_gpus)
+                cover(store.dst, store.addr, store.size, &Granule::written);
 
-    IntervalSet consumed;
-    if (dst < iter.consumed.size())
-        for (const auto &range : iter.consumed[dst])
-            consumed.add(range);
-
-    UpdateSummary summary;
-    summary.unique_bytes = updated.totalBytes();
-    summary.useful_bytes = updated.intersectBytes(consumed);
-    return summary;
+    for (const Granule &g : _table) {
+        if (g.dst == invalid_gpu)
+            continue;
+        UpdateSummary &summary = _summaries.at(g.dst);
+        summary.unique_bytes += common::popcount64(g.written[0]) +
+                                common::popcount64(g.written[1]);
+        summary.useful_bytes +=
+            common::popcount64(g.written[0] & g.consumed[0]) +
+            common::popcount64(g.written[1] & g.consumed[1]);
+    }
+    return _summaries;
 }
 
-std::uint64_t
-totalUsefulBytes(const WorkloadTrace &trace)
+UpdateSummary
+summarizeTrace(const WorkloadTrace &trace)
 {
-    std::uint64_t total = 0;
-    for (const auto &iter : trace.iterations)
-        for (GpuId g = 0; g < trace.num_gpus; ++g)
-            total += summarizeUpdates(iter, g).useful_bytes;
-    return total;
-}
-
-std::uint64_t
-totalUniqueBytes(const WorkloadTrace &trace)
-{
-    std::uint64_t total = 0;
-    for (const auto &iter : trace.iterations)
-        for (GpuId g = 0; g < trace.num_gpus; ++g)
-            total += summarizeUpdates(iter, g).unique_bytes;
+    CoverageLedger ledger;
+    UpdateSummary total;
+    for (const auto &iter : trace.iterations) {
+        for (const UpdateSummary &summary :
+             ledger.summarize(iter, trace.num_gpus)) {
+            total.unique_bytes += summary.unique_bytes;
+            total.useful_bytes += summary.useful_bytes;
+        }
+    }
     return total;
 }
 

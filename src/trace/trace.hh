@@ -14,6 +14,7 @@
 #ifndef FP_TRACE_TRACE_HH
 #define FP_TRACE_TRACE_HH
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -127,14 +128,61 @@ struct UpdateSummary
     std::uint64_t useful_bytes = 0;
 };
 
-/** Compute the per-destination update summary of one iteration. */
-UpdateSummary summarizeUpdates(const IterationWork &iter, GpuId dst);
+/**
+ * Byte coverage of one iteration's updates, counted in one linear pass
+ * over its consumed ranges and stores (DESIGN.md §4). Coverage lives
+ * in 128 B line granules keyed by (destination, line address) in a
+ * flat open-addressed table, so memory grows with the lines touched,
+ * never with the address span. A granule holds two 64-bit words of
+ * consumed bytes and two of written bytes; a range or store crossing a
+ * line boundary splits across granules. Stores whose destination is
+ * at or above the GPU count are ignored. The table is cleared, not
+ * freed, between iterations.
+ */
+class CoverageLedger
+{
+  public:
+    /**
+     * Summaries of @p iter for destinations [0, @p num_gpus); the
+     * reference is valid until the next call.
+     */
+    const std::vector<UpdateSummary> &summarize(const IterationWork &iter,
+                                                std::uint32_t num_gpus);
 
-/** Sum of useful bytes over all iterations and destinations. */
-std::uint64_t totalUsefulBytes(const WorkloadTrace &trace);
+  private:
+    /** One 128 B line of one destination; dst == invalid_gpu: empty. */
+    struct Granule
+    {
+        Addr line = 0;
+        GpuId dst = invalid_gpu;
+        std::array<std::uint64_t, 2> consumed{};
+        std::array<std::uint64_t, 2> written{};
+    };
+    using Mask = std::array<std::uint64_t, 2> Granule::*;
 
-/** Sum of unique updated bytes over all iterations and destinations. */
-std::uint64_t totalUniqueBytes(const WorkloadTrace &trace);
+    /**
+     * OR bytes [base, base + size) of @p dst into the @p mask of each
+     * granule they touch, creating missing granules.
+     */
+    void cover(GpuId dst, Addr base, std::uint64_t size, Mask mask);
+    /**
+     * The slot holding (@p dst, @p line), or the empty slot that ends
+     * its probe.
+     */
+    std::size_t find(GpuId dst, Addr line) const;
+    /** Double the table and re-insert every granule. */
+    void grow();
+
+    /** Open-addressed granules, a power of two long, at most half full. */
+    std::vector<Granule> _table = std::vector<Granule>(1024);
+    std::size_t _used = 0;
+    /** The slot cover() last touched (consecutive stores share lines). */
+    std::size_t _last = 0;
+    std::vector<UpdateSummary> _summaries;
+};
+
+/** Unique and useful bytes summed over all iterations and destinations. */
+UpdateSummary summarizeTrace(const WorkloadTrace &trace);
 
 /** Binary trace serialization (stores only; data payloads dropped). */
 void writeTrace(const WorkloadTrace &trace, std::ostream &os);

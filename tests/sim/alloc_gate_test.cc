@@ -96,16 +96,16 @@ TEST_P(AllocGateTest, RunStaysUnderRecordedCeiling)
 INSTANTIATE_TEST_SUITE_P(
     PagerankAndSssp, AllocGateTest,
     ::testing::Values(
-        GateCase{"pagerank", Paradigm::p2p_stores, 18587},
-        GateCase{"pagerank", Paradigm::finepack, 13330},
-        GateCase{"pagerank", Paradigm::write_combine, 464672},
-        GateCase{"pagerank", Paradigm::gps, 466158},
-        GateCase{"pagerank", Paradigm::bulk_dma, 2465},
-        GateCase{"sssp", Paradigm::p2p_stores, 42064},
-        GateCase{"sssp", Paradigm::finepack, 26771},
-        GateCase{"sssp", Paradigm::write_combine, 1114442},
-        GateCase{"sssp", Paradigm::gps, 1087797},
-        GateCase{"sssp", Paradigm::bulk_dma, 3057}),
+        GateCase{"pagerank", Paradigm::p2p_stores, 15298},
+        GateCase{"pagerank", Paradigm::finepack, 9891},
+        GateCase{"pagerank", Paradigm::write_combine, 406487},
+        GateCase{"pagerank", Paradigm::gps, 407973},
+        GateCase{"pagerank", Paradigm::bulk_dma, 732},
+        GateCase{"sssp", Paradigm::p2p_stores, 35610},
+        GateCase{"sssp", Paradigm::finepack, 20874},
+        GateCase{"sssp", Paradigm::write_combine, 923018},
+        GateCase{"sssp", Paradigm::gps, 901586},
+        GateCase{"sssp", Paradigm::bulk_dma, 1256}),
     [](const ::testing::TestParamInfo<GateCase> &info) {
         std::string name = std::string(info.param.workload) + "_" +
                            toString(info.param.paradigm);

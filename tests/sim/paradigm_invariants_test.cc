@@ -83,7 +83,7 @@ TEST_P(ParadigmInvariants, DeliveredDataCoversUniqueUpdates)
     // the destination needs (unique updated bytes) must still arrive.
     const auto &trace = smallTrace(GetParam());
     RunResult r = driver.run(trace, Paradigm::finepack);
-    EXPECT_GE(r.data_bytes, trace::totalUniqueBytes(trace));
+    EXPECT_GE(r.data_bytes, trace::summarizeTrace(trace).unique_bytes);
 }
 
 TEST_P(ParadigmInvariants, WcAloneAccountingIsBetweenPackedAndRaw)
@@ -123,7 +123,8 @@ TEST_P(ParadigmInvariants, MultiWindowPreservesDataAndClassification)
     // elide fewer redundant bytes, so delivered data may differ - but
     // everything the destination needs must still arrive, and the
     // oracle-based useful count is configuration-independent.
-    EXPECT_GE(multi.data_bytes, trace::totalUniqueBytes(trace));
+    EXPECT_GE(multi.data_bytes,
+              trace::summarizeTrace(trace).unique_bytes);
     EXPECT_EQ(multi.useful_bytes, single.useful_bytes);
     EXPECT_EQ(multi.useful_bytes + multi.protocol_bytes +
                   multi.wasted_bytes,

@@ -67,14 +67,14 @@ TEST(UpdateSummaryTest, UniqueAndUsefulBytes)
     // GPU 1 only reads the first region.
     iter.consumed[1].push_back(icn::AddrRange{0x1000, 64});
 
-    UpdateSummary summary = summarizeUpdates(iter, 1);
-    EXPECT_EQ(summary.unique_bytes, 12u + 8u);
-    EXPECT_EQ(summary.useful_bytes, 12u);
+    CoverageLedger ledger;
+    const auto &summaries = ledger.summarize(iter, 2);
+    EXPECT_EQ(summaries[1].unique_bytes, 12u + 8u);
+    EXPECT_EQ(summaries[1].useful_bytes, 12u);
 
     // Nothing was sent to GPU 0.
-    UpdateSummary none = summarizeUpdates(iter, 0);
-    EXPECT_EQ(none.unique_bytes, 0u);
-    EXPECT_EQ(none.useful_bytes, 0u);
+    EXPECT_EQ(summaries[0].unique_bytes, 0u);
+    EXPECT_EQ(summaries[0].useful_bytes, 0u);
 }
 
 TEST(UpdateSummaryTest, MultipleSourcesAggregate)
@@ -85,7 +85,8 @@ TEST(UpdateSummaryTest, MultipleSourcesAggregate)
     iter.per_gpu[0].remote_stores.emplace_back(0x100, 8, 0, 2);
     iter.per_gpu[1].remote_stores.emplace_back(0x104, 8, 1, 2);
     iter.consumed[2].push_back(icn::AddrRange{0x100, 16});
-    UpdateSummary summary = summarizeUpdates(iter, 2);
+    CoverageLedger ledger;
+    UpdateSummary summary = ledger.summarize(iter, 3)[2];
     EXPECT_EQ(summary.unique_bytes, 12u); // merged overlap
     EXPECT_EQ(summary.useful_bytes, 12u);
 }

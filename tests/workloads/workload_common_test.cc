@@ -88,9 +88,9 @@ TEST_P(AllWorkloads, TraceIsDeterministic)
 TEST_P(AllWorkloads, SomeUpdatesAreConsumed)
 {
     auto trace = createWorkload(GetParam())->generateTrace(smallParams());
-    EXPECT_GT(trace::totalUsefulBytes(trace), 0u);
-    EXPECT_GE(trace::totalUniqueBytes(trace),
-              trace::totalUsefulBytes(trace));
+    const trace::UpdateSummary updates = trace::summarizeTrace(trace);
+    EXPECT_GT(updates.useful_bytes, 0u);
+    EXPECT_GE(updates.unique_bytes, updates.useful_bytes);
 }
 
 TEST_P(AllWorkloads, CommPatternMatchesPaper)

@@ -39,7 +39,7 @@
  *       writes the machine-readable profile document (provenance +
  *       host section).
  *   racecheck <trace.fpt> [--paradigm P] [--pcie GEN] [--seeds N]
- *             [--report FILE] [--waive GLOB] [--no-default-waivers]
+ *             [--report FILE] [--waive GLOB]
  *       Determinism analysis (docs/determinism.md). Statically: replay
  *       under the same-tick race detector and report conflicting
  *       accesses between events at the same (tick, priority).
@@ -106,7 +106,6 @@ usage()
            "  fptrace racecheck <trace.fpt> [--paradigm P]"
            " [--pcie 3|4|5|6]\n"
            "                 [--seeds N] [--report FILE] [--waive GLOB]\n"
-           "                 [--no-default-waivers]\n"
            "  fptrace list\n"
            "  fptrace --version\n"
            "run health (replay / profile / racecheck; "
@@ -304,6 +303,7 @@ cmdInfo(int argc, char **argv)
     if (argc < 3)
         return usage();
     trace::WorkloadTrace trace = loadTrace(argv[2]);
+    const trace::UpdateSummary updates = trace::summarizeTrace(trace);
 
     std::cout << "workload:      " << trace.workload << "\n"
               << "comm pattern:  " << trace.comm_pattern << "\n"
@@ -312,10 +312,8 @@ cmdInfo(int argc, char **argv)
               << "remote stores: " << trace.totalRemoteStores() << "\n"
               << "store bytes:   " << trace.totalRemoteStoreBytes()
               << "\n"
-              << "unique bytes:  " << trace::totalUniqueBytes(trace)
-              << "\n"
-              << "useful bytes:  " << trace::totalUsefulBytes(trace)
-              << "\n";
+              << "unique bytes:  " << updates.unique_bytes << "\n"
+              << "useful bytes:  " << updates.useful_bytes << "\n";
 
     common::Table table("per-iteration profile");
     table.setHeader({"iter", "stores", "store KiB", "dma KiB",
@@ -852,14 +850,6 @@ cmdRacecheck(int argc, char **argv)
     RunHealth health(argc, argv);
 
     check::RaceDetector detector;
-    if (!hasFlag(argc, argv, "--no-default-waivers")) {
-        // The switch's downlink FIFO arbitrates same-tick arrivals from
-        // independent uplinks. The winner only shifts serialization
-        // order within one tick; every aggregate outcome is
-        // order-insensitive, which the perturbation pass verifies
-        // dynamically on every racecheck run.
-        detector.waive("fabric.down*");
-    }
     for (int i = 2; i + 1 < argc; ++i)
         if (std::strcmp(argv[i], "--waive") == 0)
             detector.waive(argv[i + 1]);
